@@ -52,14 +52,8 @@ func main() {
 		tracePath   = flag.String("trace", "", "write a Chrome trace-event JSON of the run's spans to this file (load in Perfetto)")
 		traceSample = flag.Int("trace-sample", 1, "with -trace, record every Nth root span (1 = all)")
 		hierWorkers = flag.Int("hier-workers", 0, "within-source lattice-build workers (0 = GOMAXPROCS, 1 = sequential; output is identical)")
-		logLevel    = flag.String("log-level", "info", "log verbosity: debug|info|warn|error|off (off for quiet benchmark runs)")
-		logFormat   = flag.String("log-format", "logfmt", "log encoding: logfmt|json")
 	)
 	flag.Parse()
-	if err := obs.InstallDefaultLogger(os.Stderr, *logLevel, *logFormat); err != nil {
-		fmt.Fprintln(os.Stderr, "midas-bench:", err)
-		os.Exit(1)
-	}
 	if *hierWorkers != 0 {
 		hierarchy.SetDefaultWorkers(*hierWorkers)
 	}

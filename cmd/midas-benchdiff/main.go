@@ -75,13 +75,8 @@ func main() {
 		minReuse     = flag.Float64("min-reuse-ratio", 0, "min framework source-reuse ratio in the current snapshot (0 = check disabled)")
 		minP99       = flag.Float64("min-p99-seconds", 0.005, "skip the p99 check below this baseline (noise floor)")
 		allowMissing = flag.Bool("allow-missing", false, "exit 0 when the old snapshot does not exist")
-		logLevel     = flag.String("log-level", "info", "log verbosity: debug|info|warn|error|off")
-		logFormat    = flag.String("log-format", "logfmt", "log encoding: logfmt|json")
 	)
 	flag.Parse()
-	if err := obs.InstallDefaultLogger(os.Stderr, *logLevel, *logFormat); err != nil {
-		fatal(err)
-	}
 	if *oldPath == "" || *newPath == "" {
 		flag.Usage()
 		os.Exit(2)

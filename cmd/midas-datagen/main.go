@@ -21,27 +21,20 @@ import (
 	"midas/internal/datagen"
 	"midas/internal/fact"
 	"midas/internal/kb"
-	"midas/internal/obs"
 	"midas/internal/rdf"
 )
 
 func main() {
 	var (
-		dataset   = flag.String("dataset", "reverb-slim", "synthetic | reverb-slim | nell-slim | reverb | nell | kv")
-		out       = flag.String("out", ".", "output directory")
-		seed      = flag.Int64("seed", 7, "generator seed")
-		scale     = flag.Float64("scale", 0.5, "size multiplier for the full corpora")
-		facts     = flag.Int("facts", 5000, "fact count for the synthetic dataset")
-		optimal   = flag.Int("optimal", 10, "optimal slice count for the synthetic dataset")
-		format    = flag.String("format", "tsv", "output format: tsv | binary | ntriples")
-		logLevel  = flag.String("log-level", "info", "log verbosity: debug|info|warn|error|off")
-		logFormat = flag.String("log-format", "logfmt", "log encoding: logfmt|json")
+		dataset = flag.String("dataset", "reverb-slim", "synthetic | reverb-slim | nell-slim | reverb | nell | kv")
+		out     = flag.String("out", ".", "output directory")
+		seed    = flag.Int64("seed", 7, "generator seed")
+		scale   = flag.Float64("scale", 0.5, "size multiplier for the full corpora")
+		facts   = flag.Int("facts", 5000, "fact count for the synthetic dataset")
+		optimal = flag.Int("optimal", 10, "optimal slice count for the synthetic dataset")
+		format  = flag.String("format", "tsv", "output format: tsv | binary | ntriples")
 	)
 	flag.Parse()
-	if err := obs.InstallDefaultLogger(os.Stderr, *logLevel, *logFormat); err != nil {
-		fmt.Fprintln(os.Stderr, "midas-datagen:", err)
-		os.Exit(1)
-	}
 
 	var corpus *fact.Corpus
 	var existing *kb.KB

@@ -46,13 +46,8 @@ func main() {
 		silverPath = flag.String("silver", "", "silver-facts TSV from midas-datagen (required)")
 		verbose    = flag.Bool("v", false, "print per-slice matches")
 		statsPath  = flag.String("stats", "", "write a JSON metrics snapshot (scoring counters and timings) to this file")
-		logLevel   = flag.String("log-level", "info", "log verbosity: debug|info|warn|error|off")
-		logFormat  = flag.String("log-format", "logfmt", "log encoding: logfmt|json")
 	)
 	flag.Parse()
-	if err := obs.InstallDefaultLogger(os.Stderr, *logLevel, *logFormat); err != nil {
-		fatal(err)
-	}
 	if *predPath == "" || *factsPath == "" || *silverPath == "" {
 		flag.Usage()
 		os.Exit(2)

@@ -21,18 +21,8 @@ import (
 	"strings"
 
 	"midas/internal/kb"
-	"midas/internal/obs"
 	"midas/internal/rdf"
 )
-
-// logFlags registers the -log-level/-log-format flags every midas
-// binary accepts on one subcommand's flag set; the returned func
-// installs the logger and must run right after fs.Parse.
-func logFlags(fs *flag.FlagSet) (install func()) {
-	level := fs.String("log-level", "info", "log verbosity: debug|info|warn|error|off")
-	format := fs.String("log-format", "logfmt", "log encoding: logfmt|json")
-	return func() { check(obs.InstallDefaultLogger(os.Stderr, *level, *format)) }
-}
 
 func main() {
 	if len(os.Args) < 2 {
@@ -41,11 +31,9 @@ func main() {
 	switch os.Args[1] {
 	case "convert":
 		fs := flag.NewFlagSet("convert", flag.ExitOnError)
-		installLog := logFlags(fs)
 		in := fs.String("in", "", "input KB file (required)")
 		out := fs.String("out", "", "output KB file (required)")
 		fs.Parse(os.Args[2:])
-		installLog()
 		if *in == "" || *out == "" {
 			fs.Usage()
 			os.Exit(2)
@@ -58,11 +46,9 @@ func main() {
 
 	case "stats":
 		fs := flag.NewFlagSet("stats", flag.ExitOnError)
-		installLog := logFlags(fs)
 		in := fs.String("in", "", "input KB file (required)")
 		top := fs.Int("top", 10, "show the most frequent predicates")
 		fs.Parse(os.Args[2:])
-		installLog()
 		if *in == "" {
 			fs.Usage()
 			os.Exit(2)
@@ -74,12 +60,10 @@ func main() {
 
 	case "diff":
 		fs := flag.NewFlagSet("diff", flag.ExitOnError)
-		installLog := logFlags(fs)
 		a := fs.String("a", "", "first KB (required)")
 		b := fs.String("b", "", "second KB (required)")
 		show := fs.Int("show", 5, "sample size of differing facts to print")
 		fs.Parse(os.Args[2:])
-		installLog()
 		if *a == "" || *b == "" {
 			fs.Usage()
 			os.Exit(2)
@@ -88,10 +72,8 @@ func main() {
 
 	case "merge":
 		fs := flag.NewFlagSet("merge", flag.ExitOnError)
-		installLog := logFlags(fs)
 		out := fs.String("out", "", "output KB file (required)")
 		fs.Parse(os.Args[2:])
-		installLog()
 		if *out == "" || fs.NArg() == 0 {
 			fs.Usage()
 			os.Exit(2)

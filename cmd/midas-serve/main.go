@@ -10,7 +10,7 @@
 //	      [-read-timeout 0] [-idle-timeout 2m]
 //	      [-data-dir DIR] [-fsync batch] [-snapshot-bytes 4194304]
 //	      [-drain-grace 0s] [-drain-timeout 30s]
-//	      [-log-level info] [-log-format logfmt]
+//	      [-log-level info|debug|warn|error|off] [-log-format logfmt|json]
 //	      [-stats final-stats.json]
 //
 // API (JSON; see README.md "Serving" for the full table):
@@ -43,9 +43,11 @@
 // session, writes the final metrics snapshot to -stats — runtime gauges
 // included — and exits 0.
 //
-// Structured logs (access lines, job lifecycle) go to stderr; set
-// -log-format json to pipe them through jq, -log-level debug to also
-// log probe traffic, -log-level off to silence.
+// Structured logs (lifecycle, recovery, access lines, job records) go
+// to stderr as log/slog records; set -log-format json to pipe them
+// through jq, -log-level debug to also log probe traffic, -log-level
+// off to silence them. Only errors that end the process are printed as
+// plain "midas-serve: ..." lines.
 package main
 
 import (
@@ -82,10 +84,11 @@ func main() {
 		logFormat    = flag.String("log-format", "logfmt", "log encoding: logfmt|json")
 	)
 	flag.Parse()
-	if err := obs.InstallDefaultLogger(os.Stderr, *logLevel, *logFormat); err != nil {
+	if err := obs.ConfigureLogging(os.Stderr, *logLevel, *logFormat); err != nil {
 		fmt.Fprintln(os.Stderr, "midas-serve:", err)
 		os.Exit(1)
 	}
+	log := obs.DefaultLogger()
 
 	reg := obs.Default()
 	rc := obs.NewRuntimeCollector(reg, 10*time.Second)
@@ -119,20 +122,12 @@ func main() {
 
 	// Recovery runs before the listener binds: by the time /readyz can
 	// say yes, every surviving session answers with its pre-crash state.
+	// The store logs what it recovered, quarantined, and dropped.
 	if st != nil {
-		rec, err := srv.Recover(context.Background())
-		if err != nil {
+		if _, err := srv.Recover(context.Background()); err != nil {
 			fmt.Fprintln(os.Stderr, "midas-serve: recovering sessions:", err)
 			os.Exit(1)
 		}
-		fmt.Fprintf(os.Stderr, "midas-serve: recovered %d session(s) from %s", len(rec.Sessions), *dataDir)
-		if len(rec.Quarantined) > 0 {
-			fmt.Fprintf(os.Stderr, " (%d quarantined — inspect %s/quarantine)", len(rec.Quarantined), *dataDir)
-		}
-		if len(rec.Dropped) > 0 {
-			fmt.Fprintf(os.Stderr, " (%d unacknowledged creation(s) dropped)", len(rec.Dropped))
-		}
-		fmt.Fprintln(os.Stderr)
 	}
 
 	// ReadHeaderTimeout bounds how long a connection may sit between
@@ -153,7 +148,7 @@ func main() {
 		os.Exit(1)
 	}
 	srv.SetReady(true)
-	fmt.Fprintf(os.Stderr, "midas-serve: serving on http://%s/ (API under /api, telemetry at /metrics)\n", ln.Addr())
+	log.Info("serving", "url", fmt.Sprintf("http://%s/", ln.Addr()))
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -174,22 +169,21 @@ func main() {
 	// jobs with the listener still open (so probes and job polls keep
 	// answering mid-drain), snapshot and close the store, close the
 	// listener, and flush the final snapshot with a last runtime-gauge
-	// sample.
-	fmt.Fprintln(os.Stderr, "midas-serve: draining...")
+	// sample. Drain logs its own start and finish records.
 	srv.SetReady(false)
 	if *drainGrace > 0 {
 		time.Sleep(*drainGrace)
 	}
 	drainCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
-	inFlight := srv.Drain(drainCtx)
+	srv.Drain(drainCtx)
 	if err := httpSrv.Shutdown(drainCtx); err != nil {
 		httpSrv.Close()
 	}
 	srv.Close()
 	if st != nil {
 		if err := st.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "midas-serve: closing store:", err)
+			log.Error("closing store failed", "err", err)
 		}
 	}
 	rc.Stop()
@@ -199,5 +193,4 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	fmt.Fprintf(os.Stderr, "midas-serve: drained cleanly (%d jobs were in flight)\n", inFlight)
 }

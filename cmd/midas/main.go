@@ -58,13 +58,8 @@ func main() {
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 		listen    = flag.String("listen", "", "serve live telemetry (/metrics, /debug/vars, /debug/pprof) on this address (e.g. localhost:9090)")
 		tracePath = flag.String("trace", "", "write a Chrome trace-event JSON of the run's spans to this file (load in Perfetto)")
-		logLevel  = flag.String("log-level", "info", "log verbosity: debug|info|warn|error|off")
-		logFormat = flag.String("log-format", "logfmt", "log encoding: logfmt|json")
 	)
 	flag.Parse()
-	if err := midas.ConfigureLogging(os.Stderr, *logLevel, *logFormat); err != nil {
-		fatal(err)
-	}
 	if *factsPath == "" {
 		flag.Usage()
 		os.Exit(2)

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"sort"
 	"strconv"
@@ -116,9 +117,9 @@ func (s *Server) withMetrics(pattern string, h http.HandlerFunc) http.HandlerFun
 		timer.With(pattern).Observe(elapsed)
 		latency.With(pattern).Observe(elapsed.Seconds())
 		requests.With(pattern, strconv.Itoa(sw.code)).Inc()
-		level := obs.LevelInfo
+		level := slog.LevelInfo
 		if probe {
-			level = obs.LevelDebug
+			level = slog.LevelDebug
 		}
 		kv := append([]any{
 			"method", r.Method, "path", r.URL.Path, "endpoint", pattern,
@@ -238,7 +239,7 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 	default:
 		addLogFields(w, "session", sn.name)
-		s.logger().Info(r.Context(), "session created", "session", sn.name)
+		s.logger().InfoContext(r.Context(), "session created", "session", sn.name)
 		writeJSON(w, http.StatusCreated, map[string]string{"session": sn.name})
 	}
 }
@@ -289,7 +290,7 @@ func (s *Server) handleDeleteSession(w http.ResponseWriter, r *http.Request) {
 		// files that could not be removed.
 		writeErr(w, http.StatusInternalServerError, "deleting session %q: %v", name, err)
 	default:
-		s.logger().Info(r.Context(), "session deleted", "session", name)
+		s.logger().InfoContext(r.Context(), "session deleted", "session", name)
 		w.WriteHeader(http.StatusNoContent)
 	}
 }
@@ -328,7 +329,7 @@ func (s *Server) handleLoadKB(w http.ResponseWriter, r *http.Request) {
 			// immediately: the snapshot serializes the session as it now
 			// is, re-baselining the log onto the observed state.
 			if serr := sn.slog.Snapshot(sn.sess); serr != nil {
-				s.logger().Warn(r.Context(), "re-baseline snapshot failed", "session", sn.name, "err", serr)
+				s.logger().WarnContext(r.Context(), "re-baseline snapshot failed", "session", sn.name, "err", serr)
 			}
 		}
 		sn.wmu.Unlock()

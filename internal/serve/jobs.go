@@ -133,7 +133,7 @@ func (s *Server) trackRunning() (untrack func()) {
 // incremental state.
 func (s *Server) execute(ctx context.Context, sn *session, j *job, fp uint64) {
 	defer s.trackRunning()()
-	s.logger().Info(ctx, "job started")
+	s.logger().InfoContext(ctx, "job started")
 	res, err := s.discover(ctx, sn.sess)
 	if err == nil && res != nil {
 		if res.Fingerprint == fp {
@@ -157,10 +157,10 @@ func (s *Server) execute(ctx context.Context, sn *session, j *job, fp uint64) {
 	}
 	if err != nil {
 		kv = append(kv, "err", err)
-		s.logger().Warn(ctx, "job finished", kv...)
+		s.logger().WarnContext(ctx, "job finished", kv...)
 		return
 	}
-	s.logger().Info(ctx, "job finished", kv...)
+	s.logger().InfoContext(ctx, "job finished", kv...)
 }
 
 // startDiscover answers a discover request: cache hit → an immediately
@@ -176,7 +176,7 @@ func (s *Server) startDiscover(ctx context.Context, sn *session, wait bool, time
 		j.request = requestID(ctx)
 		j.cached = true
 		j.finish(s.now(), res, nil)
-		s.logger().Info(ctx, "job finished", "job", j.id, "session", sn.name, "cached", true)
+		s.logger().InfoContext(ctx, "job finished", "job", j.id, "session", sn.name, "cached", true)
 		return j, nil
 	}
 	s.reg.Counter("serve/cache/miss").Inc()

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"log/slog"
 	"net/http"
 	"strings"
 	"sync"
@@ -49,6 +50,16 @@ func (b *syncBuffer) records(t *testing.T) []map[string]any {
 		recs = append(recs, rec)
 	}
 	return recs
+}
+
+// jsonLogger returns a debug-level JSON logger writing to w.
+func jsonLogger(t *testing.T, w io.Writer) *slog.Logger {
+	t.Helper()
+	log, err := obs.NewLogger(w, "debug", "json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return log
 }
 
 // TestRequestTraceCorrelation runs a real discovery through the async
@@ -113,11 +124,11 @@ func TestRequestTraceCorrelation(t *testing.T) {
 // grep chain an operator follows from access log to job log.
 func TestAccessAndJobLogs(t *testing.T) {
 	var buf syncBuffer
-	log := obs.NewLogger(&buf, obs.LevelDebug, obs.FormatJSON)
+	log := jsonLogger(t, &buf)
 	_, ts := newTestServer(t, Options{Logger: log})
 	do(t, "POST", ts.URL+"/api/sessions", strings.NewReader(`{"name":"lg"}`), "application/json", nil)
 	postFacts(t, ts.URL, "lg", corpusFacts("alpha", 10))
-	j := discoverWait(t, ts.URL, "lg")
+	j, code := discoverWaitCode(t, ts.URL, "lg")
 	if j.Status != StateDone {
 		t.Fatalf("job = %+v", j)
 	}
@@ -138,15 +149,16 @@ func TestAccessAndJobLogs(t *testing.T) {
 			access != nil, started != nil, finished != nil, strings.Join(buf.lines(), "\n"))
 	}
 	reqID, _ := access["request"].(string)
-	if reqID == "" || access["job"] != j.Job || access["code"] != float64(202) {
+	trace, _ := access["trace"].(string)
+	if reqID == "" || trace == "" || access["job"] != j.Job || access["code"] != float64(code) {
 		t.Errorf("access record = %v", access)
 	}
 	for what, rec := range map[string]map[string]any{"started": started, "finished": finished} {
 		if rec["request"] != reqID || rec["session"] != "lg" {
 			t.Errorf("job %s record does not share the request's IDs: %v", what, rec)
 		}
-		if rec["trace"] == "" || rec["span"] == "" {
-			t.Errorf("job %s record missing trace/span correlation: %v", what, rec)
+		if span, _ := rec["span"].(string); span == "" || rec["trace"] != trace {
+			t.Errorf("job %s record not correlated with the request's trace %q: %v", what, trace, rec)
 		}
 	}
 	if finished["status"] != StateDone {
@@ -293,7 +305,7 @@ func TestReadyzLifecycle(t *testing.T) {
 func TestDrainKeepsObservability(t *testing.T) {
 	reg := obs.New()
 	var buf syncBuffer
-	log := obs.NewLogger(&buf, obs.LevelDebug, obs.FormatJSON)
+	log := jsonLogger(t, &buf)
 	s, ts := newTestServer(t, Options{Registry: reg, Logger: log})
 	s.SetReady(true)
 	rc := obs.NewRuntimeCollector(reg, time.Hour)

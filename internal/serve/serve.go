@@ -16,6 +16,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"regexp"
 	"runtime"
@@ -47,8 +48,8 @@ type Options struct {
 	// Default: the process-wide obs registry.
 	Registry *obs.Registry
 	// Logger receives access and job-lifecycle records. Default: the
-	// process-wide obs logger (nil there too = logging disabled).
-	Logger *obs.Logger
+	// process-wide obs logger, which writes nothing until configured.
+	Logger *slog.Logger
 	// Trace receives the per-request root spans and, through them, the
 	// discovery pipeline's spans — one trace per request. Default: a
 	// private tracer owned by the server (request tracing is what feeds
@@ -108,7 +109,7 @@ type Discover func(ctx context.Context, sess *midas.Session) (*midas.Result, err
 type Server struct {
 	opts   Options
 	reg    *obs.Registry
-	log    *obs.Logger // nil = fall back to obs.DefaultLogger at call sites
+	log    *slog.Logger // nil = fall back to obs.DefaultLogger at call sites
 	tracer *obs.Tracer
 	sem    chan struct{}
 
@@ -326,7 +327,7 @@ func (s *Server) deleteSession(ctx context.Context, name string) (bool, error) {
 		}
 	}
 	if len(running) > 0 {
-		s.logger().Info(ctx, "session jobs canceled for delete",
+		s.logger().InfoContext(ctx, "session jobs canceled for delete",
 			"session", name, "jobs", len(running))
 	}
 	if sn.slog != nil {
@@ -350,7 +351,7 @@ func (s *Server) Drain(ctx context.Context) int {
 	inFlight := int(s.running)
 	s.mu.Unlock()
 	s.reg.Gauge("serve/draining").Set(1)
-	s.logger().Info(ctx, "drain started", "in_flight", inFlight)
+	s.logger().InfoContext(ctx, "drain started", "in_flight", inFlight)
 
 	done := make(chan struct{})
 	go func() {
@@ -366,7 +367,7 @@ func (s *Server) Drain(ctx context.Context) int {
 		<-done
 	}
 	s.snapshotAll(ctx)
-	s.logger().Info(ctx, "drain finished", "in_flight", inFlight, "canceled", canceled)
+	s.logger().InfoContext(ctx, "drain finished", "in_flight", inFlight, "canceled", canceled)
 	return inFlight
 }
 
@@ -393,7 +394,7 @@ func (s *Server) snapshotAll(ctx context.Context) {
 		err := sn.slog.Snapshot(sn.sess)
 		sn.wmu.Unlock()
 		if err != nil {
-			s.logger().Warn(ctx, "drain snapshot failed", "session", sn.name, "err", err)
+			s.logger().WarnContext(ctx, "drain snapshot failed", "session", sn.name, "err", err)
 		}
 	}
 }
@@ -415,7 +416,7 @@ func (s *Server) maybeSnapshot(sn *session) {
 		err := sn.slog.Snapshot(sn.sess)
 		sn.wmu.Unlock()
 		if err != nil {
-			s.logger().Warn(context.Background(), "snapshot failed", "session", sn.name, "err", err)
+			s.logger().Warn("snapshot failed", "session", sn.name, "err", err)
 		}
 	}()
 }
@@ -474,8 +475,9 @@ func (s *Server) SetReady(ready bool) { s.ready.Store(ready) }
 func (s *Server) Tracer() *obs.Tracer { return s.tracer }
 
 // logger resolves the server's logger at call time, so a default
-// installed after New (the -log-level flag path) is still picked up.
-func (s *Server) logger() *obs.Logger { return s.log.OrDefault() }
+// installed after New (midas-serve's -log-level flag path) is still
+// picked up.
+func (s *Server) logger() *slog.Logger { return obs.LoggerOrDefault(s.log) }
 
 // Close releases the server's job contexts. Safe after Drain.
 func (s *Server) Close() { s.cancelJobs() }

@@ -100,6 +100,14 @@ type jobResp struct {
 // discoverWait runs a discovery job and polls it to completion.
 func discoverWait(t *testing.T, base, session string) jobResp {
 	t.Helper()
+	j, _ := discoverWaitCode(t, base, session)
+	return j
+}
+
+// discoverWaitCode is discoverWait that also returns the discover
+// POST's status: 202 while the job runs, 200 if it already finished.
+func discoverWaitCode(t *testing.T, base, session string) (jobResp, int) {
+	t.Helper()
 	var j jobResp
 	code := do(t, "POST", base+"/api/sessions/"+session+"/discover", nil, "", &j)
 	if code != http.StatusAccepted && code != http.StatusOK {
@@ -115,7 +123,7 @@ func discoverWait(t *testing.T, base, session string) jobResp {
 			t.Fatalf("poll: HTTP %d", code)
 		}
 	}
-	return j
+	return j, code
 }
 
 // TestAPIRoundTrip drives the full curl flow of the CI smoke job:

@@ -90,7 +90,7 @@ func (st *Store) Recover(ctx context.Context, decode DecodeOptions) (*Recovery, 
 			if qerr != nil {
 				return rec, fmt.Errorf("quarantining session %q after %v: %w", name, err, qerr)
 			}
-			st.logger().Warn(ctx, "session quarantined", "session", name, "dir", qdir, "err", err)
+			st.logger().WarnContext(ctx, "session quarantined", "session", name, "dir", qdir, "err", err)
 			rec.Quarantined = append(rec.Quarantined, Quarantined{Name: name, Dir: qdir, Err: err})
 		case r == nil:
 			// No durable create record: the creation was never acked.
@@ -100,13 +100,13 @@ func (st *Store) Recover(ctx context.Context, decode DecodeOptions) (*Recovery, 
 			st.mu.Lock()
 			st.logs[name] = r.Log
 			st.mu.Unlock()
-			st.logger().Info(ctx, "session recovered", "session", name,
+			st.logger().InfoContext(ctx, "session recovered", "session", name,
 				"fingerprint", fmt.Sprintf("%016x", r.Fingerprint),
 				"replayed", r.Replayed, "torn_tail", r.TornTail)
 			rec.Sessions = append(rec.Sessions, *r)
 		}
 	}
-	st.logger().Info(ctx, "recovery finished",
+	st.logger().InfoContext(ctx, "recovery finished",
 		"sessions", len(rec.Sessions), "quarantined", len(rec.Quarantined),
 		"dropped", len(rec.Dropped), "dur", time.Since(start))
 	return rec, nil

@@ -32,6 +32,7 @@ package store
 import (
 	"errors"
 	"fmt"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"sync"
@@ -100,7 +101,7 @@ type Options struct {
 	Registry *obs.Registry
 	// Logger receives recovery and snapshot records. Default: the
 	// process-wide obs logger.
-	Logger *obs.Logger
+	Logger *slog.Logger
 }
 
 // Store owns a data directory of per-session logs. Open it once per
@@ -108,7 +109,7 @@ type Options struct {
 type Store struct {
 	opts Options
 	reg  *obs.Registry
-	log  *obs.Logger
+	log  *slog.Logger
 
 	mu     sync.Mutex
 	logs   map[string]*Log
@@ -163,7 +164,7 @@ func (st *Store) sessionsDir() string   { return filepath.Join(st.opts.Dir, "ses
 func (st *Store) trashDir() string      { return filepath.Join(st.opts.Dir, "trash") }
 func (st *Store) quarantineDir() string { return filepath.Join(st.opts.Dir, "quarantine") }
 
-func (st *Store) logger() *obs.Logger { return st.log.OrDefault() }
+func (st *Store) logger() *slog.Logger { return obs.LoggerOrDefault(st.log) }
 
 // gaugeLoop publishes the store health gauges once a second: WAL bytes
 // not yet compacted away, age of the last fsync, age of the last

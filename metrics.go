@@ -72,13 +72,13 @@ func (m *Metrics) registry() *obs.Registry {
 	return m.reg
 }
 
-// ConfigureLogging installs the process-wide structured logger that
-// the pipeline and serving path write through, from the string forms
-// the binaries accept as -log-level (debug|info|warn|error|off) and
-// -log-format (logfmt|json). Level "off" disables logging, the default
-// state of a fresh process.
+// ConfigureLogging installs the process-wide log/slog logger that the
+// serving path writes through, from the string forms midas-serve
+// accepts as -log-level (debug|info|warn|error|off) and -log-format
+// (logfmt|json). Level "off" disables logging, the default state of a
+// fresh process.
 func ConfigureLogging(w io.Writer, level, format string) error {
-	return obs.InstallDefaultLogger(w, level, format)
+	return obs.ConfigureLogging(w, level, format)
 }
 
 // Tracer records spans — named, timed, parented intervals covering the
