@@ -230,8 +230,10 @@ func (w *worker) ingestFacts(seq int, sn *wsession) {
 
 // loadKB uploads a KB TSV whose request body runs through the
 // injector's fault Reader — the KB-load latency/error seam. KB loads
-// are not atomic, so any failed upload leaves an unknown prefix loaded
-// server-side and taints the session for oracle purposes.
+// are atomic: an upload the server answered with an error applied
+// nothing, so the mirror skips it and the replay oracle checks that the
+// rejected load never became visible. Only a lost response (the server
+// may or may not have applied it) taints the session.
 func (w *worker) loadKB(seq int, sn *wsession) {
 	n := 3 + w.rng.Intn(10)
 	var body bytes.Buffer
@@ -247,8 +249,11 @@ func (w *worker) loadKB(seq int, sn *wsession) {
 	code, err := w.h.doJSON(w.h.hc, "POST", "/api/sessions/"+sn.name+"/kb",
 		w.h.inj.Reader(bytes.NewReader(raw)), "text/tab-separated-values", &out)
 	w.h.record(w.id, seq, "kb", sn.name, code, fmt.Sprintf("n=%d", n))
-	if err != nil || code != http.StatusOK {
+	if err != nil {
 		sn.tainted = true
+		return
+	}
+	if code != http.StatusOK {
 		return
 	}
 	if _, err := sn.mirror.KB().LoadTSV(bytes.NewReader(raw)); err != nil {

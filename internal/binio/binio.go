@@ -100,17 +100,32 @@ func NewReader(r io.Reader) *Reader {
 	return &Reader{r: bufio.NewReader(r), MaxBytes: 64 << 20}
 }
 
-// Uvarint reads an unsigned varint.
+// Uvarint reads an unsigned varint. Only the shortest encoding (the
+// one Writer emits) is accepted, so a decoded stream re-encodes to the
+// bytes it came from.
 func (r *Reader) Uvarint() uint64 {
 	if r.err != nil {
 		return 0
 	}
-	v, err := binary.ReadUvarint(r.r)
-	if err != nil {
-		r.fail(err)
-		return 0
+	var v uint64
+	for shift := uint(0); ; shift += 7 {
+		b, err := r.r.ReadByte()
+		if err != nil {
+			if shift > 0 && err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			r.fail(err)
+			return 0
+		}
+		if (b == 0 && shift > 0) || (shift == 63 && b > 1) {
+			r.fail(fmt.Errorf("%w: non-canonical varint", ErrCorrupt))
+			return 0
+		}
+		v |= uint64(b&0x7f) << shift
+		if b < 0x80 {
+			return v
+		}
 	}
-	return v
 }
 
 // Int reads a non-negative int.

@@ -3,6 +3,7 @@ package binio_test
 import (
 	"bytes"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -130,5 +131,24 @@ func TestQuickStrings(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+func TestUvarintRejectsNonCanonical(t *testing.T) {
+	for _, in := range [][]byte{
+		{0x80, 0x00},                                // zero in two bytes
+		{0x81, 0x80, 0x00},                          // 1 with a trailing zero group
+		bytes.Repeat([]byte{0xff}, 11),              // longer than any uint64
+		append(bytes.Repeat([]byte{0xff}, 9), 0x02), // overflows 64 bits
+	} {
+		r := binio.NewReader(bytes.NewReader(in))
+		r.Uvarint()
+		if !errors.Is(r.Err(), binio.ErrCorrupt) {
+			t.Errorf("% x: err = %v, want ErrCorrupt", in, r.Err())
+		}
+	}
+	r := binio.NewReader(bytes.NewReader(append(bytes.Repeat([]byte{0xff}, 9), 0x01)))
+	if got := r.Uvarint(); got != math.MaxUint64 || r.Err() != nil {
+		t.Errorf("max uint64 = %d, %v", got, r.Err())
 	}
 }

@@ -3,126 +3,109 @@ package fact
 import (
 	"fmt"
 	"io"
+	"math"
 
 	"midas/internal/binio"
+	"midas/internal/dict"
+	"midas/internal/kb"
 )
 
-// Binary corpus format: "MCO1", the four dictionaries actually used
-// (subjects, predicates, objects, URLs), then the fact count and the
-// facts as varint local indexes plus a 3-digit fixed-point confidence.
-// Self-contained: IDs are remapped on load into the destination corpus.
+// Binary corpus format ("MCO2"), built from the kb section codec and
+// the fact rows below: the subject, predicate, object, and URL sections
+// restricted to the strings the corpus uses, then the fact rows. The
+// confidence is stored as its exact float32 bits.
 
-const corpusMagic = "MCO1"
+const corpusMagic = "MCO2"
+
+// Dicts returns the corpus's dictionaries in section order: subjects,
+// predicates, objects, URLs.
+func (c *Corpus) Dicts() [4]*dict.Dict {
+	return [4]*dict.Dict{c.Space.Subjects, c.Space.Predicates, c.Space.Objects, c.URLs}
+}
+
+// ReadSections reads the four sections of a corpus stream into c's
+// dictionaries (kb.ReadSection) and returns their remaps.
+func (c *Corpus) ReadSections(br *binio.Reader) [4][]dict.ID {
+	var remap [4][]dict.ID
+	for i, d := range c.Dicts() {
+		remap[i] = kb.ReadSection(br, d)
+	}
+	return remap
+}
+
+// WriteRows writes fact rows: a count, then per fact S, P, O, and URL
+// as indexes through their section tables and Float32bits(conf).
+func WriteRows(bw *binio.Writer, facts []Extracted, local [4]kb.Local) {
+	bw.Int(len(facts))
+	for _, e := range facts {
+		bw.Uvarint(local[0].Of(e.Triple.S))
+		bw.Uvarint(local[1].Of(e.Triple.P))
+		bw.Uvarint(local[2].Of(e.Triple.O))
+		bw.Uvarint(local[3].Of(e.URL))
+		bw.Uvarint(uint64(math.Float32bits(e.Conf)))
+	}
+}
+
+// ReadRows reads fact rows, remapping every index through its section's
+// remap, and calls fn per fact; fn's error stops the read.
+func ReadRows(br *binio.Reader, remap [4][]dict.ID, fn func(Extracted) error) error {
+	n := br.Int()
+	for i := 0; i < n; i++ {
+		s, p, o, u := br.Uvarint(), br.Uvarint(), br.Uvarint(), br.Uvarint()
+		conf := br.Uvarint()
+		if err := br.Err(); err != nil {
+			return err
+		}
+		if s >= uint64(len(remap[0])) || p >= uint64(len(remap[1])) ||
+			o >= uint64(len(remap[2])) || u >= uint64(len(remap[3])) || conf > math.MaxUint32 {
+			return fmt.Errorf("%w: fact %d references out-of-range value", binio.ErrCorrupt, i)
+		}
+		err := fn(Extracted{
+			Triple: kb.Triple{S: remap[0][s], P: remap[1][p], O: remap[2][o]},
+			URL:    remap[3][u],
+			Conf:   math.Float32frombits(uint32(conf)),
+		})
+		if err != nil {
+			return err
+		}
+	}
+	return br.Err()
+}
 
 // WriteBinary serializes the corpus.
 func (c *Corpus) WriteBinary(w io.Writer) error {
-	subjIdx := make(map[int32]uint64)
-	predIdx := make(map[int32]uint64)
-	objIdx := make(map[int32]uint64)
-	urlIdx := make(map[int32]uint64)
-	var subjs, preds, objs, urls []string
-	index := func(m map[int32]uint64, list *[]string, id int32, s string) uint64 {
-		if i, ok := m[id]; ok {
-			return i
-		}
-		i := uint64(len(*list))
-		m[id] = i
-		*list = append(*list, s)
-		return i
+	dicts := c.Dicts()
+	var used [4][]bool
+	for i, d := range dicts {
+		used[i] = make([]bool, d.Len())
 	}
-
+	for _, e := range c.Facts {
+		used[0][e.Triple.S], used[1][e.Triple.P], used[2][e.Triple.O], used[3][e.URL] = true, true, true, true
+	}
 	bw := binio.NewWriter(w)
 	bw.Magic(corpusMagic)
-	type enc struct{ s, p, o, u, conf uint64 }
-	encoded := make([]enc, len(c.Facts))
-	for i, e := range c.Facts {
-		encoded[i] = enc{
-			s:    index(subjIdx, &subjs, e.Triple.S, c.Space.Subjects.String(e.Triple.S)),
-			p:    index(predIdx, &preds, e.Triple.P, c.Space.Predicates.String(e.Triple.P)),
-			o:    index(objIdx, &objs, e.Triple.O, c.Space.Objects.String(e.Triple.O)),
-			u:    index(urlIdx, &urls, e.URL, c.URLs.String(e.URL)),
-			conf: uint64(e.Conf*1000 + 0.5),
-		}
+	var local [4]kb.Local
+	for i, d := range dicts {
+		local[i] = kb.WriteSection(bw, d, used[i])
 	}
-	for _, sec := range [][]string{subjs, preds, objs, urls} {
-		bw.Int(len(sec))
-		for _, s := range sec {
-			bw.String(s)
-		}
-	}
-	bw.Int(len(encoded))
-	for _, e := range encoded {
-		bw.Uvarint(e.s)
-		bw.Uvarint(e.p)
-		bw.Uvarint(e.o)
-		bw.Uvarint(e.u)
-		bw.Uvarint(e.conf)
-	}
+	WriteRows(bw, c.Facts, local)
 	return bw.Flush()
 }
 
 // ReadBinary appends a binary corpus stream to the receiver, interning
 // into its space and URL dictionary. It returns the number of facts
-// read.
+// read. A confidence outside [0,1] (or NaN) rejects the stream.
 func (c *Corpus) ReadBinary(r io.Reader) (int, error) {
 	br := binio.NewReader(r)
 	br.Magic(corpusMagic)
-	readSection := func() []string {
-		n := br.Int()
-		if br.Err() != nil {
-			return nil
+	read := 0
+	err := ReadRows(br, c.ReadSections(br), func(e Extracted) error {
+		if !(e.Conf >= 0 && e.Conf <= 1) {
+			return fmt.Errorf("%w: fact %d confidence %v outside [0,1]", binio.ErrCorrupt, read, e.Conf)
 		}
-		// Preallocation is capped: every entry costs at least one stream
-		// byte, so a corrupt count fails at read time instead of forcing
-		// a huge allocation up front.
-		out := make([]string, 0, min(n, 4096))
-		for i := 0; i < n; i++ {
-			out = append(out, br.String())
-		}
-		return out
-	}
-	subjs := readSection()
-	preds := readSection()
-	objs := readSection()
-	urls := readSection()
-	count := br.Int()
-	if err := br.Err(); err != nil {
-		return 0, err
-	}
-
-	subjIDs := make([]int32, len(subjs))
-	for i, s := range subjs {
-		subjIDs[i] = c.Space.Subjects.Put(s)
-	}
-	predIDs := make([]int32, len(preds))
-	for i, s := range preds {
-		predIDs[i] = c.Space.Predicates.Put(s)
-	}
-	objIDs := make([]int32, len(objs))
-	for i, s := range objs {
-		objIDs[i] = c.Space.Objects.Put(s)
-	}
-	urlIDs := make([]int32, len(urls))
-	for i, s := range urls {
-		urlIDs[i] = c.URLs.Put(s)
-	}
-
-	for i := 0; i < count; i++ {
-		s, p, o, u := br.Uvarint(), br.Uvarint(), br.Uvarint(), br.Uvarint()
-		conf := br.Uvarint()
-		if err := br.Err(); err != nil {
-			return i, err
-		}
-		if s >= uint64(len(subjIDs)) || p >= uint64(len(predIDs)) ||
-			o >= uint64(len(objIDs)) || u >= uint64(len(urlIDs)) || conf > 1000 {
-			return i, fmt.Errorf("%w: fact %d references out-of-range value", binio.ErrCorrupt, i)
-		}
-		c.AddTriple(
-			// Reconstruct through the remap tables.
-			tripleOf(subjIDs[s], predIDs[p], objIDs[o]),
-			urlIDs[u],
-			float32(conf)/1000,
-		)
-	}
-	return count, nil
+		c.Facts = append(c.Facts, e)
+		read++
+		return nil
+	})
+	return read, err
 }

@@ -513,7 +513,3 @@ func GroupBySource(c *Corpus) map[dict.ID][]kb.Triple {
 	}
 	return out
 }
-
-// tripleOf builds a kb.Triple from position IDs (helper for the binary
-// decoder).
-func tripleOf(s, p, o dict.ID) kb.Triple { return kb.Triple{S: s, P: p, O: o} }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"midas/internal/core"
@@ -95,17 +96,18 @@ func TestMalformedURLs(t *testing.T) {
 func TestCustomDetectorContract(t *testing.T) {
 	corpus, existing := exampleCorpus()
 
-	calls := 0
+	// Detectors run on pool workers, so the counter must be atomic.
+	var calls atomic.Int64
 	nilDetector := func(table *fact.Table, seeds []hierarchy.Seed) []*slice.Slice {
-		calls++
+		calls.Add(1)
 		return nil
 	}
 	out := framework.Run(corpus, existing, framework.Options{Detect: nilDetector})
 	if len(out.Slices) != 0 {
 		t.Errorf("nil detector produced %d slices", len(out.Slices))
 	}
-	if calls != out.SourcesProcessed || calls == 0 {
-		t.Errorf("detector calls = %d, sources = %d", calls, out.SourcesProcessed)
+	if n := calls.Load(); n != int64(out.SourcesProcessed) || n == 0 {
+		t.Errorf("detector calls = %d, sources = %d", n, out.SourcesProcessed)
 	}
 
 	// A detector that duplicates its answer: consolidation still runs

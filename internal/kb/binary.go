@@ -8,65 +8,158 @@ import (
 	"time"
 
 	"midas/internal/binio"
+	"midas/internal/dict"
 	"midas/internal/obs"
 )
 
-// Binary format: "MKB1", then the three position dictionaries restricted
-// to the strings the KB actually uses (count + strings each), then the
-// triple count and the triples as varint-encoded local indexes with the
-// subject delta-encoded (triples are sorted). The format is
-// self-contained: IDs are remapped on load into the destination space.
+// The binary codec. Every binary format of the module — the public KB
+// ("MKB1") and corpus ("MCO2") streams, the session state block
+// ("MSS1"), and the WAL facts record — is a composition of three
+// pieces, so each format decision lives in one place:
+//
+//   - a section (WriteSection/ReadSection): a count, then the strings
+//     of one dictionary in ascending ID order — all of them, or only
+//     the IDs a structure uses;
+//   - triple rows (WriteRows/ReadRows): a count, then per triple S
+//     delta-encoded over the sorted triples, P, and O, each an index
+//     into its section;
+//   - fact rows (internal/fact): S, P, O, URL, Float32bits(conf).
+//
+// Readers Put section strings into a destination dictionary and remap
+// row indexes through the result, so a stream loads into any space.
+//
+// MKB1: the magic, the used subject, predicate, and object sections,
+// then the triple rows.
 
 const kbMagic = "MKB1"
+
+// Local maps a dictionary's IDs to the indexes WriteSection wrote them
+// at. The nil Local is the identity: a full section keeps every ID.
+type Local []uint32
+
+// Of returns id's index in the section.
+func (l Local) Of(id dict.ID) uint64 {
+	if l == nil {
+		return uint64(uint32(id))
+	}
+	return uint64(l[id])
+}
+
+// Dicts returns the space's dictionaries in section order: subjects,
+// predicates, objects.
+func (sp *Space) Dicts() [3]*dict.Dict {
+	return [3]*dict.Dict{sp.Subjects, sp.Predicates, sp.Objects}
+}
+
+// WriteSection writes d's strings in ascending ID order: all of them
+// when used is nil, else only the IDs marked in used. used is sized to
+// d when the marks are taken, so strings interned since are left out.
+// It returns the ID → local-index table for the row writers.
+func WriteSection(bw *binio.Writer, d *dict.Dict, used []bool) Local {
+	strs := d.Strings()
+	if used == nil {
+		bw.Int(len(strs))
+		for _, s := range strs {
+			bw.String(s)
+		}
+		return nil
+	}
+	local := make(Local, len(used))
+	n := 0
+	for id, u := range used {
+		if u {
+			local[id] = uint32(n)
+			n++
+		}
+	}
+	bw.Int(n)
+	for id, u := range used {
+		if u {
+			bw.String(strs[id])
+		}
+	}
+	return local
+}
+
+// ReadSection reads one section, Putting each string into d, and
+// returns the local → ID remap (nil once br has failed).
+func ReadSection(br *binio.Reader, d *dict.Dict) []dict.ID {
+	n := br.Int()
+	if br.Err() != nil {
+		return nil
+	}
+	// Preallocation is capped: every entry costs at least one stream
+	// byte, so a corrupt count fails at read time instead of forcing a
+	// huge allocation up front.
+	remap := make([]dict.ID, 0, min(n, 4096))
+	for i := 0; i < n; i++ {
+		s := br.String()
+		if br.Err() != nil {
+			return nil
+		}
+		remap = append(remap, d.Put(s))
+	}
+	return remap
+}
+
+// WriteRows writes triple rows through the S, P, O section tables.
+// triples must be sorted (Triples order): sections keep ascending ID
+// order, so local S indexes never decrease and S is stored as the delta
+// from the previous row.
+func WriteRows(bw *binio.Writer, triples []Triple, local [3]Local) {
+	bw.Int(len(triples))
+	var prevS uint64
+	for _, t := range triples {
+		s := local[0].Of(t.S)
+		bw.Uvarint(s - prevS)
+		prevS = s
+		bw.Uvarint(local[1].Of(t.P))
+		bw.Uvarint(local[2].Of(t.O))
+	}
+}
+
+// ReadRows reads triple rows, remapping every index through its
+// section's remap, and calls fn per triple; fn's error stops the read.
+func ReadRows(br *binio.Reader, remap [3][]dict.ID, fn func(Triple) error) error {
+	n := br.Int()
+	nS, nP, nO := uint64(len(remap[0])), uint64(len(remap[1])), uint64(len(remap[2]))
+	var s uint64
+	for i := 0; i < n; i++ {
+		ds, p, o := br.Uvarint(), br.Uvarint(), br.Uvarint()
+		if err := br.Err(); err != nil {
+			return err
+		}
+		if ds >= nS || s+ds >= nS || p >= nP || o >= nO {
+			return fmt.Errorf("%w: triple %d references out-of-range string", binio.ErrCorrupt, i)
+		}
+		s += ds
+		if err := fn(Triple{S: remap[0][s], P: remap[1][p], O: remap[2][o]}); err != nil {
+			return err
+		}
+	}
+	return br.Err()
+}
 
 // WriteBinary serializes the KB in the compact binary format.
 func (k *KB) WriteBinary(w io.Writer) error {
 	triples := k.Triples()
-
-	// Collect the used strings per position, assigning local indexes.
-	subjIdx := make(map[int32]uint64)
-	predIdx := make(map[int32]uint64)
-	objIdx := make(map[int32]uint64)
-	var subjs, preds, objs []string
-	for _, t := range triples {
-		if _, ok := subjIdx[t.S]; !ok {
-			subjIdx[t.S] = uint64(len(subjs))
-			subjs = append(subjs, k.space.Subjects.String(t.S))
-		}
-		if _, ok := predIdx[t.P]; !ok {
-			predIdx[t.P] = uint64(len(preds))
-			preds = append(preds, k.space.Predicates.String(t.P))
-		}
-		if _, ok := objIdx[t.O]; !ok {
-			objIdx[t.O] = uint64(len(objs))
-			objs = append(objs, k.space.Objects.String(t.O))
-		}
+	// Marks are sized after the snapshot: every ID a triple holds was
+	// assigned before the triple was added.
+	dicts := k.space.Dicts()
+	var used [3][]bool
+	for i, d := range dicts {
+		used[i] = make([]bool, d.Len())
 	}
-
+	for _, t := range triples {
+		used[0][t.S], used[1][t.P], used[2][t.O] = true, true, true
+	}
 	bw := binio.NewWriter(w)
 	bw.Magic(kbMagic)
-	for _, sec := range [][]string{subjs, preds, objs} {
-		bw.Int(len(sec))
-		for _, s := range sec {
-			bw.String(s)
-		}
+	var local [3]Local
+	for i, d := range dicts {
+		local[i] = WriteSection(bw, d, used[i])
 	}
-	// Triples are sorted, and local subject indexes are assigned in
-	// first-seen order over that same walk, so they are non-decreasing
-	// and delta-encode cheaply.
-	bw.Int(len(triples))
-	var prevS uint64
-	for i, t := range triples {
-		s := subjIdx[t.S]
-		if i == 0 {
-			bw.Uvarint(s)
-		} else {
-			bw.Uvarint(s - prevS)
-		}
-		prevS = s
-		bw.Uvarint(predIdx[t.P])
-		bw.Uvarint(objIdx[t.O])
-	}
+	WriteRows(bw, triples, local)
 	return bw.Flush()
 }
 
@@ -89,62 +182,15 @@ func (k *KB) ReadBinaryContext(ctx context.Context, r io.Reader) (int, error) {
 	}()
 	br := binio.NewReader(r)
 	br.Magic(kbMagic)
-	readSection := func() []string {
-		n := br.Int()
-		if br.Err() != nil {
-			return nil
-		}
-		// Preallocation is capped: every entry costs at least one stream
-		// byte, so a corrupt count fails at read time instead of forcing
-		// a huge allocation up front.
-		out := make([]string, 0, min(n, 4096))
-		for i := 0; i < n; i++ {
-			out = append(out, br.String())
-		}
-		return out
+	var remap [3][]dict.ID
+	for i, d := range k.space.Dicts() {
+		remap[i] = ReadSection(br, d)
 	}
-	subjs := readSection()
-	preds := readSection()
-	objs := readSection()
-	count := br.Int()
-	if err := br.Err(); err != nil {
-		return 0, err
-	}
-
-	// Remap local indexes into the destination space.
-	subjIDs := make([]int32, len(subjs))
-	for i, s := range subjs {
-		subjIDs[i] = k.space.Subjects.Put(s)
-	}
-	predIDs := make([]int32, len(preds))
-	for i, s := range preds {
-		predIDs[i] = k.space.Predicates.Put(s)
-	}
-	objIDs := make([]int32, len(objs))
-	for i, s := range objs {
-		objIDs[i] = k.space.Objects.Put(s)
-	}
-
-	var prevS uint64
-	for i := 0; i < count; i++ {
-		var s uint64
-		if i == 0 {
-			s = br.Uvarint()
-		} else {
-			s = prevS + br.Uvarint()
-		}
-		prevS = s
-		p := br.Uvarint()
-		o := br.Uvarint()
-		if err := br.Err(); err != nil {
-			return added, err
-		}
-		if s >= uint64(len(subjIDs)) || p >= uint64(len(predIDs)) || o >= uint64(len(objIDs)) {
-			return added, fmt.Errorf("%w: triple %d references out-of-range string", binio.ErrCorrupt, i)
-		}
-		if k.Add(Triple{S: subjIDs[s], P: predIDs[p], O: objIDs[o]}) {
+	err := ReadRows(br, remap, func(t Triple) error {
+		if k.Add(t) {
 			added++
 		}
-	}
-	return added, nil
+		return nil
+	})
+	return added, err
 }

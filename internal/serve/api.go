@@ -307,56 +307,47 @@ func (s *Server) handleLoadKB(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "unknown KB format %q", format)
 		return
 	}
-	var body io.Reader = ctxReader(r.Context(), r.Body)
-	var raw []byte
-	if sn.slog != nil {
-		// Durable sessions log the load by content, so the body must be
-		// buffered; memory-only sessions keep the streaming path.
-		var err error
-		raw, err = io.ReadAll(body)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, "reading KB body: %v", err)
-			return
-		}
-		body = bytes.NewReader(raw)
-	}
-	sn.wmu.Lock()
-	added, err := loadKB(sn.sess, format, body)
+	// Stage → log → apply, the same for memory-only and durable
+	// sessions. The loaders apply while parsing, so the body is first
+	// parsed into a scratch KB: a malformed body is rejected before
+	// anything is logged or applied, and the session load of the same
+	// bytes cannot fail part-way.
+	raw, err := io.ReadAll(ctxReader(r.Context(), r.Body))
 	if err != nil {
-		if sn.slog != nil {
-			// The loaders apply while parsing, so a mid-body error leaves
-			// a partial prefix live that no WAL record describes. Snapshot
-			// immediately: the snapshot serializes the session as it now
-			// is, re-baselining the log onto the observed state.
-			if serr := sn.slog.Snapshot(sn.sess); serr != nil {
-				s.logger().WarnContext(r.Context(), "re-baseline snapshot failed", "session", sn.name, "err", serr)
-			}
-		}
-		sn.wmu.Unlock()
+		writeErr(w, http.StatusBadRequest, "reading KB body: %v", err)
+		return
+	}
+	if _, err := loadKB(midas.NewKB(), format, raw); err != nil {
 		writeErr(w, http.StatusBadRequest, "loading KB: %v", err)
 		return
 	}
+	sn.wmu.Lock()
 	if sn.slog != nil {
-		if aerr := sn.slog.AppendKB(format, raw); aerr != nil {
+		if err := sn.slog.AppendKB(format, raw); err != nil {
 			sn.wmu.Unlock()
-			writeErr(w, http.StatusInternalServerError, "persisting KB load: %v", aerr)
+			writeErr(w, http.StatusInternalServerError, "persisting KB load: %v", err)
 			return
 		}
 	}
+	added, err := loadKB(sn.sess.KB(), format, raw)
 	sn.wmu.Unlock()
+	if err != nil {
+		writeErr(w, http.StatusInternalServerError, "applying staged KB load: %v", err)
+		return
+	}
 	s.maybeSnapshot(sn)
 	writeJSON(w, http.StatusOK, map[string]int{"added": added})
 }
 
 // loadKB dispatches one KB bulk load; format has been validated.
-func loadKB(sess *midas.Session, format string, body io.Reader) (int, error) {
+func loadKB(k *midas.KB, format string, body []byte) (int, error) {
 	switch format {
 	case "", "tsv":
-		return sess.KB().LoadTSV(body)
+		return k.LoadTSV(bytes.NewReader(body))
 	case "binary":
-		return sess.KB().LoadBinary(body)
+		return k.LoadBinary(bytes.NewReader(body))
 	default:
-		return sess.KB().LoadNTriples(body)
+		return k.LoadNTriples(bytes.NewReader(body))
 	}
 }
 

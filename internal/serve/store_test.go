@@ -205,6 +205,61 @@ func TestServeRecoveryAfterKill(t *testing.T) {
 	}
 }
 
+// TestKBLoadAtomic: a KB load is staged, logged, then applied. A body
+// whose last line is malformed is rejected whole (400) on memory-only
+// and durable sessions alike, and a load the frozen store cannot log
+// is refused (500) without being applied; either way the session's
+// fingerprint and KB epoch stay put, and recovery sees no divergence.
+func TestKBLoadAtomic(t *testing.T) {
+	const bad = "alpha entity 1\tkind\talpha\nalpha entity 2\tkind\talpha\nno-tabs-here\n"
+	loadKB := func(base, name, body string) int {
+		return do(t, "POST", base+"/api/sessions/"+name+"/kb", strings.NewReader(body), "text/tab-separated-values", nil)
+	}
+	unchanged := func(label string, before, after sessInfo) {
+		t.Helper()
+		if after.Fingerprint != before.Fingerprint || after.KBEpoch != before.KBEpoch || after.KBFacts != before.KBFacts {
+			t.Fatalf("%s changed the session:\nbefore %+v\nafter  %+v", label, before, after)
+		}
+	}
+
+	_, mem := newTestServer(t, Options{Registry: obs.New()})
+	if code := do(t, "POST", mem.URL+"/api/sessions", strings.NewReader(`{"name":"m"}`), "application/json", nil); code != 201 {
+		t.Fatalf("create: HTTP %d", code)
+	}
+	before := getSession(t, mem.URL, "m")
+	if code := loadKB(mem.URL, "m", bad); code != http.StatusBadRequest {
+		t.Fatalf("memory-only malformed KB: HTTP %d, want 400", code)
+	}
+	unchanged("memory-only malformed KB", before, getSession(t, mem.URL, "m"))
+
+	dir := t.TempDir()
+	st := openTestStore(t, dir)
+	_, ts := newDurableServer(t, st, Options{Registry: obs.New()})
+	driveDurableSession(t, ts.URL, "d")
+	before = getSession(t, ts.URL, "d")
+	if code := loadKB(ts.URL, "d", bad); code != http.StatusBadRequest {
+		t.Fatalf("durable malformed KB: HTTP %d, want 400", code)
+	}
+	unchanged("durable malformed KB", before, getSession(t, ts.URL, "d"))
+	st.Kill()
+	if code := loadKB(ts.URL, "d", "new entity\tkind\tnew\n"); code != http.StatusInternalServerError {
+		t.Fatalf("KB load after kill: HTTP %d, want 500", code)
+	}
+	unchanged("unlogged KB load", before, getSession(t, ts.URL, "d"))
+	ts.Close()
+
+	st2 := openTestStore(t, dir)
+	s2, ts2 := newDurableServer(t, st2, Options{Registry: obs.New()})
+	rec, err := s2.Recover(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.Sessions) != 1 || len(rec.Quarantined) != 0 {
+		t.Fatalf("recovery: %+v", rec)
+	}
+	unchanged("recovery", before, getSession(t, ts2.URL, "d"))
+}
+
 // TestRecoveredOptionsRestored: session options persist with the create
 // record, and the RestoreOptions seam post-processes them at recovery.
 func TestRecoveredOptionsRestored(t *testing.T) {

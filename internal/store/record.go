@@ -7,10 +7,12 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
-	"math"
 
 	"midas"
 	"midas/internal/binio"
+	"midas/internal/dict"
+	"midas/internal/fact"
+	"midas/internal/kb"
 )
 
 // WAL record framing: uvarint payload length, payload, 8-byte
@@ -27,11 +29,14 @@ import (
 const maxRecordBytes = 1 << 30
 
 // Op types, the first uvarint of every WAL record payload.
+// Op 2 was an earlier facts encoding (float64 confidence bits); it is
+// retired, so such a record decodes as an unknown op and its session is
+// quarantined rather than misread.
 const (
 	opCreate = 1 // session created: name, options JSON
-	opFacts  = 2 // AddFacts batch, dictionary-encoded
 	opKB     = 3 // KB bulk load: format tag, body bytes verbatim
 	opAbsorb = 4 // Absorb batch: per slice, source + entities
+	opFacts  = 5 // AddFacts batch: full sections + fact rows
 )
 
 func checksum(payload []byte) uint64 {
@@ -133,48 +138,34 @@ func encodeCreate(name string, optionsJSON []byte) []byte {
 	return buf.Bytes()
 }
 
-// encodeFacts dictionary-encodes a batch: repeated subjects, predicates,
-// objects, and URLs are stored once in a string table, rows reference
-// table indexes. Confidence is stored as raw Float64bits — replay must
-// feed AddFacts the exact float64 the live handler did, or the interned
-// float32 (and with it the session fingerprint) could drift.
+// encodeFacts interns the batch into a scratch corpus and writes it in
+// the kb/fact codec: four full sections, then the fact rows. The
+// confidence is stored as the float32 AddFacts interns; replay feeds
+// back float64(conf), which re-interns to the same bits, so the session
+// fingerprint cannot drift.
 func encodeFacts(facts []midas.Fact) []byte {
+	c := scratchCorpus()
+	for _, f := range facts {
+		c.Add(f)
+	}
 	var buf bytes.Buffer
 	bw := binio.NewWriter(&buf)
 	bw.Uvarint(opFacts)
-	idx := make(map[string]uint64)
-	var table []string
-	intern := func(s string) uint64 {
-		if i, ok := idx[s]; ok {
-			return i
-		}
-		i := uint64(len(table))
-		idx[s] = i
-		table = append(table, s)
-		return i
+	for _, d := range c.Dicts() {
+		kb.WriteSection(bw, d, nil)
 	}
-	type row struct{ s, p, o, u, conf uint64 }
-	rows := make([]row, len(facts))
-	for i, f := range facts {
-		rows[i] = row{
-			s: intern(f.Subject), p: intern(f.Predicate), o: intern(f.Object),
-			u: intern(f.URL), conf: math.Float64bits(f.Confidence),
-		}
-	}
-	bw.Int(len(table))
-	for _, s := range table {
-		bw.String(s)
-	}
-	bw.Int(len(rows))
-	for _, r := range rows {
-		bw.Uvarint(r.s)
-		bw.Uvarint(r.p)
-		bw.Uvarint(r.o)
-		bw.Uvarint(r.u)
-		bw.Uvarint(r.conf)
-	}
+	fact.WriteRows(bw, c.Facts, [4]kb.Local{})
 	bw.Flush()
 	return buf.Bytes()
+}
+
+// scratchCorpus returns an empty corpus over zero-value dictionaries:
+// a batch is small, and kb.NewSpace preallocates for a whole KB.
+func scratchCorpus() *fact.Corpus {
+	return &fact.Corpus{
+		Space: &kb.Space{Subjects: new(dict.Dict), Predicates: new(dict.Dict), Objects: new(dict.Dict)},
+		URLs:  new(dict.Dict),
+	}
 }
 
 func encodeKB(format string, body []byte) []byte {
@@ -216,38 +207,17 @@ func decodeMutation(payload []byte) (*mutation, error) {
 		m.name = br.String()
 		m.options = br.Bytes()
 	case opFacts:
-		nTable := br.Int()
-		if err := br.Err(); err != nil {
-			return nil, err
-		}
-		if nTable > len(payload) {
-			return nil, fmt.Errorf("%w: facts table count %d exceeds payload", binio.ErrCorrupt, nTable)
-		}
-		table := make([]string, nTable)
-		for i := range table {
-			table[i] = br.String()
-		}
-		nRows := br.Int()
-		if err := br.Err(); err != nil {
-			return nil, err
-		}
-		if nRows > len(payload) {
-			return nil, fmt.Errorf("%w: facts row count %d exceeds payload", binio.ErrCorrupt, nRows)
-		}
-		m.facts = make([]midas.Fact, 0, nRows)
-		for i := 0; i < nRows; i++ {
-			s, p, o, u := br.Uvarint(), br.Uvarint(), br.Uvarint(), br.Uvarint()
-			conf := br.Uvarint()
-			if err := br.Err(); err != nil {
-				return nil, err
-			}
-			if s >= uint64(nTable) || p >= uint64(nTable) || o >= uint64(nTable) || u >= uint64(nTable) {
-				return nil, fmt.Errorf("%w: facts row %d references out-of-range string", binio.ErrCorrupt, i)
-			}
+		c := scratchCorpus()
+		err := fact.ReadRows(br, c.ReadSections(br), func(e fact.Extracted) error {
+			sub, pred, obj := c.Space.StringTriple(e.Triple)
 			m.facts = append(m.facts, midas.Fact{
-				Subject: table[s], Predicate: table[p], Object: table[o],
-				URL: table[u], Confidence: math.Float64frombits(conf),
+				Subject: sub, Predicate: pred, Object: obj,
+				URL: c.URLs.String(e.URL), Confidence: float64(e.Conf),
 			})
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
 	case opKB:
 		m.format = br.String()

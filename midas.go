@@ -101,8 +101,8 @@ func (k *KB) LoadTSV(r io.Reader) (int, error) { return k.store.ReadTSV(r) }
 // SaveTSV writes the knowledge base as sorted tab-separated lines.
 func (k *KB) SaveTSV(w io.Writer) error { return k.store.WriteTSV(w) }
 
-// LoadBinary reads the compact binary format written by SaveBinary,
-// returning the number of new facts added.
+// LoadBinary reads the compact binary format ("MKB1") written by
+// SaveBinary, returning the number of new facts added.
 func (k *KB) LoadBinary(r io.Reader) (int, error) { return k.store.ReadBinary(r) }
 
 // LoadNTriples reads W3C N-Triples (or N-Quads; graph terms are
@@ -115,7 +115,8 @@ func (k *KB) LoadNTriples(r io.Reader) (int, error) { return rdf.LoadKB(r, k.sto
 func (k *KB) SaveNTriples(w io.Writer) error { return rdf.SaveKB(w, k.store) }
 
 // SaveBinary writes the knowledge base in a compact dictionary-encoded
-// binary format (typically several times smaller than the TSV).
+// binary format ("MKB1": the strings it uses, then delta-encoded
+// triples; typically several times smaller than the TSV).
 func (k *KB) SaveBinary(w io.Writer) error { return k.store.WriteBinary(w) }
 
 // Corpus collects the output of an automated extraction pipeline.
@@ -150,12 +151,15 @@ func (c *Corpus) LoadNQuads(r io.Reader, defaultConfidence float64) (int, error)
 // confidences are dropped — use the binary format to preserve them).
 func (c *Corpus) SaveNQuads(w io.Writer) error { return rdf.SaveCorpus(w, c.c) }
 
-// LoadBinary appends facts from the compact binary format written by
-// SaveBinary (confidences preserved), returning the number read.
+// LoadBinary appends facts from the compact binary format ("MCO2")
+// written by SaveBinary, with each confidence exactly as saved, and
+// returns the number read. A confidence outside [0,1] rejects the
+// stream.
 func (c *Corpus) LoadBinary(r io.Reader) (int, error) { return c.c.ReadBinary(r) }
 
 // SaveBinary writes the corpus in the compact dictionary-encoded binary
-// format, preserving confidences and source URLs.
+// format ("MCO2"), preserving source URLs and the exact float32
+// confidences.
 func (c *Corpus) SaveBinary(w io.Writer) error { return c.c.WriteBinary(w) }
 
 // Property is one (predicate, value) condition of a slice description.

@@ -3,7 +3,6 @@ package midas
 import (
 	"fmt"
 	"io"
-	"math"
 
 	"midas/internal/binio"
 	"midas/internal/dict"
@@ -16,22 +15,21 @@ import (
 // session's KB and corpus, written into durability snapshots by
 // internal/store. Unlike the public SaveBinary formats — which emit
 // only the strings a structure uses and remap IDs on load — the state
-// block serializes the interning dictionaries verbatim in ID order,
-// then the KB triples and corpus facts as raw IDs with exact float32
-// confidence bits, plus the KB mutation epoch. That exactness is the
+// block writes the interning dictionaries whole, so local indexes are
+// the IDs themselves, plus the KB mutation epoch. That exactness is the
 // point: Fingerprint hashes interned IDs and the epoch, and slice
 // entity order derives from ID order, so a session restored from a
 // state block is fingerprint- and slice-identical to the one that
 // wrote it — including for the mutations replayed on top of it from a
 // write-ahead log, which re-intern into identical IDs.
 //
-// Layout, all binio varints:
+// Layout, in the kb/fact binary codec:
 //
 //	"MSS1"
-//	4 × dictionary (subjects, predicates, objects, URLs): count, strings
-//	KB triple count, triples sorted by (S,P,O) — S delta-encoded, P, O
+//	4 full sections (subjects, predicates, objects, URLs)
+//	KB triple rows
 //	KB epoch
-//	corpus fact count, facts in order: S, P, O, URL, Float32bits(conf)
+//	corpus fact rows, in corpus order
 const stateMagic = "MSS1"
 
 // WriteState serializes the session's discovery-relevant state (KB,
@@ -40,42 +38,15 @@ const stateMagic = "MSS1"
 func (s *Session) WriteState(w io.Writer) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	c := s.corpus.c
 	bw := binio.NewWriter(w)
 	bw.Magic(stateMagic)
-	space := s.kb.store.Space()
-	for _, d := range []*dict.Dict{space.Subjects, space.Predicates, space.Objects, s.corpus.c.URLs} {
-		strs := d.Strings()
-		bw.Int(len(strs))
-		for _, str := range strs {
-			bw.String(str)
-		}
+	for _, d := range c.Dicts() {
+		kb.WriteSection(bw, d, nil)
 	}
-	triples := s.kb.store.Triples()
-	bw.Int(len(triples))
-	var prevS uint64
-	for i, t := range triples {
-		// Sorted by subject first, so S is non-decreasing and
-		// delta-encodes cheaply (same trick as the public KB binary).
-		sID := uint64(uint32(t.S))
-		if i == 0 {
-			bw.Uvarint(sID)
-		} else {
-			bw.Uvarint(sID - prevS)
-		}
-		prevS = sID
-		bw.Uvarint(uint64(uint32(t.P)))
-		bw.Uvarint(uint64(uint32(t.O)))
-	}
+	kb.WriteRows(bw, s.kb.store.Triples(), [3]kb.Local{})
 	bw.Uvarint(s.kb.store.Epoch())
-	facts := s.corpus.c.Facts
-	bw.Int(len(facts))
-	for _, e := range facts {
-		bw.Uvarint(uint64(uint32(e.Triple.S)))
-		bw.Uvarint(uint64(uint32(e.Triple.P)))
-		bw.Uvarint(uint64(uint32(e.Triple.O)))
-		bw.Uvarint(uint64(uint32(e.URL)))
-		bw.Uvarint(uint64(math.Float32bits(e.Conf)))
-	}
+	fact.WriteRows(bw, c.Facts, [4]kb.Local{})
 	return bw.Flush()
 }
 
@@ -83,94 +54,48 @@ func (s *Session) WriteState(w io.Writer) error {
 // WriteState, with the given discovery options (nil = defaults). The
 // restored session is fingerprint-identical to the writer; it holds no
 // incremental-discovery prior, so its next discovery runs from scratch
-// — which the incremental path guarantees is result-identical.
+// — which the incremental path guarantees is result-identical. The
+// decoder accepts only what WriteState emits: a block it accepts
+// re-encodes to the same bytes.
 func ReadState(r io.Reader, opts *Options) (*Session, error) {
 	br := binio.NewReader(r)
 	br.Magic(stateMagic)
-
-	readDict := func(d *dict.Dict, what string) error {
-		n := br.Int()
-		if err := br.Err(); err != nil {
-			return err
-		}
-		for i := 0; i < n; i++ {
-			str := br.String()
-			if err := br.Err(); err != nil {
-				return err
-			}
-			if d.Put(str) != dict.ID(i) {
-				return fmt.Errorf("%w: duplicate %s string %q", binio.ErrCorrupt, what, str)
-			}
-		}
-		return nil
-	}
-
 	space := kb.NewSpace()
 	store := kb.New(space)
 	corpus := fact.NewCorpus(space)
-	for _, sec := range []struct {
-		d    *dict.Dict
-		what string
-	}{
-		{space.Subjects, "subject"},
-		{space.Predicates, "predicate"},
-		{space.Objects, "object"},
-		{corpus.URLs, "url"},
-	} {
-		if err := readDict(sec.d, sec.what); err != nil {
-			return nil, err
+	remap := corpus.ReadSections(br)
+	for sec, ids := range remap {
+		for i, id := range ids {
+			if id != dict.ID(i) {
+				return nil, fmt.Errorf("%w: duplicate string in state section %d", binio.ErrCorrupt, sec)
+			}
 		}
 	}
-	nSubj := uint64(space.Subjects.Len())
-	nPred := uint64(space.Predicates.Len())
-	nObj := uint64(space.Objects.Len())
-	nURL := uint64(corpus.URLs.Len())
-
-	nTriples := br.Int()
-	if err := br.Err(); err != nil {
+	var prev kb.Triple
+	err := kb.ReadRows(br, [3][]dict.ID(remap[:3]), func(t kb.Triple) error {
+		if store.Size() > 0 && !prev.Less(t) {
+			return fmt.Errorf("%w: KB triple %d out of order", binio.ErrCorrupt, store.Size())
+		}
+		prev = t
+		store.Add(t)
+		return nil
+	})
+	if err != nil {
 		return nil, err
-	}
-	var prevS uint64
-	for i := 0; i < nTriples; i++ {
-		sID := br.Uvarint()
-		if i > 0 {
-			sID += prevS
-		}
-		prevS = sID
-		pID, oID := br.Uvarint(), br.Uvarint()
-		if err := br.Err(); err != nil {
-			return nil, err
-		}
-		if sID >= nSubj || pID >= nPred || oID >= nObj {
-			return nil, fmt.Errorf("%w: KB triple %d references out-of-range string", binio.ErrCorrupt, i)
-		}
-		t := kb.Triple{S: dict.ID(sID), P: dict.ID(pID), O: dict.ID(oID)}
-		if !store.Add(t) {
-			return nil, fmt.Errorf("%w: duplicate KB triple %d", binio.ErrCorrupt, i)
-		}
 	}
 	epoch := br.Uvarint()
-	nFacts := br.Int()
 	if err := br.Err(); err != nil {
 		return nil, err
 	}
-	if epoch < uint64(nTriples) {
-		return nil, fmt.Errorf("%w: KB epoch %d below triple count %d", binio.ErrCorrupt, epoch, nTriples)
+	if epoch < uint64(store.Size()) {
+		return nil, fmt.Errorf("%w: KB epoch %d below triple count %d", binio.ErrCorrupt, epoch, store.Size())
 	}
-	for i := 0; i < nFacts; i++ {
-		sID, pID, oID := br.Uvarint(), br.Uvarint(), br.Uvarint()
-		uID, confBits := br.Uvarint(), br.Uvarint()
-		if err := br.Err(); err != nil {
-			return nil, err
-		}
-		if sID >= nSubj || pID >= nPred || oID >= nObj || uID >= nURL || confBits > math.MaxUint32 {
-			return nil, fmt.Errorf("%w: corpus fact %d references out-of-range value", binio.ErrCorrupt, i)
-		}
-		corpus.AddTriple(
-			kb.Triple{S: dict.ID(sID), P: dict.ID(pID), O: dict.ID(oID)},
-			dict.ID(uID),
-			math.Float32frombits(uint32(confBits)),
-		)
+	err = fact.ReadRows(br, remap, func(e fact.Extracted) error {
+		corpus.Facts = append(corpus.Facts, e)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	store.RestoreEpoch(epoch)
 	return &Session{
