@@ -15,7 +15,11 @@
 // The paper runs this topology on MapReduce; here each round's shards
 // are dispatched to a local worker pool, which preserves the
 // communication structure (keyed sharding, independent detection per
-// key) at laptop scale.
+// key) at laptop scale. The pool is a fixed set of min(Workers, dirty
+// sources) goroutines per round that pull shards off a shared cursor,
+// each holding one token of the run's hierarchy.Pool per shard, so a
+// round over thousands of sources starts only a handful of goroutines
+// and the lattice build reuses their grown stacks.
 package framework
 
 import (
@@ -400,10 +404,12 @@ func RunContext(ctx context.Context, corpus *fact.Corpus, existing *kb.KB, opts 
 		// yields the pool's utilization (1.0 = every worker busy the
 		// whole round; low values flag skew from one oversized shard).
 		results := make([]*item, len(batch))
+		type shard struct {
+			i    int
+			plan reusePlan
+		}
+		var dirty []shard
 		reused := 0
-		var wg sync.WaitGroup
-		var busyNs atomic.Int64
-		shardTimer := reg.Timer("framework/shard")
 		for i, src := range batch {
 			plan := planReuse(opts.Prior, src, pending[src], leafFP(src), opts.Delta)
 			if plan.full {
@@ -417,19 +423,35 @@ func RunContext(ctx context.Context, corpus *fact.Corpus, existing *kb.KB, opts 
 				reused++
 				continue
 			}
+			dirty = append(dirty, shard{i, plan})
+		}
+		// A fixed set of workers pulls dirty shards off a shared cursor,
+		// so goroutines (and the stacks the lattice build grows) are
+		// reused across sources instead of started per source.
+		var wg sync.WaitGroup
+		var cursor, busyNs atomic.Int64
+		shardTimer := reg.Timer("framework/shard")
+		for range min(opts.workers(), len(dirty)) {
 			wg.Add(1)
-			go func(i int, src string, plan reusePlan) {
+			go func() {
 				defer wg.Done()
-				pool.Acquire()
-				defer pool.Release()
-				shardStart := time.Now()
-				srcCtx, srcSpan := obs.StartSpan(roundCtx, src)
-				results[i] = processSource(srcCtx, src, d, pending[src], plan, corpus.Space, member, detect, cost, reg)
-				srcSpan.Arg("surviving", strconv.Itoa(len(results[i].surviving))).End()
-				elapsed := time.Since(shardStart)
-				shardTimer.Observe(elapsed)
-				busyNs.Add(int64(elapsed))
-			}(i, src, plan)
+				for {
+					k := int(cursor.Add(1) - 1)
+					if k >= len(dirty) {
+						return
+					}
+					i, src := dirty[k].i, batch[dirty[k].i]
+					pool.Acquire()
+					shardStart := time.Now()
+					srcCtx, srcSpan := obs.StartSpan(roundCtx, src)
+					results[i] = processSource(srcCtx, src, d, pending[src], dirty[k].plan, corpus.Space, member, detect, cost, reg)
+					srcSpan.Arg("surviving", strconv.Itoa(len(results[i].surviving))).End()
+					elapsed := time.Since(shardStart)
+					shardTimer.Observe(elapsed)
+					busyNs.Add(int64(elapsed))
+					pool.Release()
+				}
+			}()
 		}
 		wg.Wait()
 		roundSpan.Arg("reused", strconv.Itoa(reused)).End()

@@ -4,12 +4,15 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"midas/internal/fact"
 	"midas/internal/framework"
+	"midas/internal/hierarchy"
 	"midas/internal/kb"
 	"midas/internal/obs"
+	"midas/internal/slice"
 )
 
 // stressCorpus synthesizes a corpus spread over many sources at several
@@ -118,5 +121,32 @@ func TestStressManySourcesOversubscribed(t *testing.T) {
 			t.Errorf("slice %d differs: parallel %s %.4f (%d/%d) vs serial %s %.4f (%d/%d)",
 				i, a.Source, a.Profit, a.Facts, a.NewFacts, b.Source, b.Profit, b.Facts, b.NewFacts)
 		}
+	}
+}
+
+// TestSourceGoroutinesBounded pins the fixed worker set: however many
+// sources a round holds, the framework runs them on at most Workers
+// goroutines. The detector samples the live goroutine count from inside
+// every shard; per-source goroutines would show one per queued source.
+func TestSourceGoroutinesBounded(t *testing.T) {
+	corpus, existing := stressCorpus(1, 6, 5, 4, 6) // 120 leaf sources
+	const workers = 2
+	var peak atomic.Int64
+	detect := func(*fact.Table, []hierarchy.Seed) []*slice.Slice {
+		n := int64(runtime.NumGoroutine())
+		for cur := peak.Load(); n > cur && !peak.CompareAndSwap(cur, n); cur = peak.Load() {
+		}
+		runtime.Gosched()
+		return nil
+	}
+	before := runtime.NumGoroutine()
+	out := framework.Run(corpus, existing, framework.Options{Workers: workers, Detect: detect, Obs: obs.New()})
+	if want := 156; out.SourcesProcessed != want {
+		t.Fatalf("SourcesProcessed = %d, want %d", out.SourcesProcessed, want)
+	}
+	// A few goroutines of slack for the runtime and the test harness.
+	if limit := int64(before + workers + 3); peak.Load() > limit {
+		t.Errorf("peak goroutines during the run = %d, want ≤ %d (%d before the run, Workers = %d)",
+			peak.Load(), limit, before, workers)
 	}
 }

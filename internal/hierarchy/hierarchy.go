@@ -182,6 +182,8 @@ type Builder struct {
 	// union scratch buffers for worker 0, reused across finalize and
 	// setProfit calls; extra workers carry their own pair.
 	unionA, unionB []int32
+	// combos enumerates initial slices in seedInitial.
+	combos comboOdometer
 }
 
 // Default caps. Entities in real extractions have a handful of
@@ -550,7 +552,9 @@ func (b *Builder) prepare() {
 }
 
 // seedInitial creates the initial slices for every entity: one slice per
-// combination of properties taking one value per predicate.
+// combination of properties taking one value per predicate. The
+// combinations stream through the builder's odometer scratch straight
+// into getNode, which interns a copy, so no per-entity slice escapes.
 func (b *Builder) seedInitial(getNode func([]fact.Property) *Node, st *Stats) {
 	for ei := range b.Table.Entities {
 		e := &b.Table.Entities[ei]
@@ -559,17 +563,14 @@ func (b *Builder) seedInitial(getNode func([]fact.Property) *Node, st *Stats) {
 			props = b.trimProps(props)
 			st.EntitiesCapped++
 		}
-		combos, capped := combosByPredicate(props, b.MaxInitCombos)
-		if capped {
+		if b.combos.reset(props, b.MaxInitCombos) {
 			st.CombosCapped++
 		}
-		for _, c := range combos {
+		for c := b.combos.next(); c != nil; c = b.combos.next() {
 			n := getNode(c)
 			n.Initial = true
 			n.pending = append(n.pending, int32(ei))
-		}
-		if len(combos) > 0 {
-			st.InitialSlices += len(combos)
+			st.InitialSlices++
 		}
 	}
 }
@@ -597,41 +598,93 @@ func (b *Builder) trimProps(props []fact.Property) []fact.Property {
 	return out
 }
 
-// combosByPredicate enumerates property combinations taking exactly one
-// value per predicate, up to max combinations. props must be sorted,
-// which groups values of the same predicate contiguously.
-func combosByPredicate(props []fact.Property, max int) ([][]fact.Property, bool) {
+// comboOdometer enumerates an entity's initial slices: the property
+// combinations taking exactly one value per predicate, in lexicographic
+// order, up to a cap. Its buffers are reused from entity to entity, and
+// each combination it yields is a view of them (or of the props passed
+// to reset), valid until the next call to next or reset.
+type comboOdometer struct {
+	props []fact.Property
+	// starts[g] .. starts[g+1] delimit predicate group g of props.
+	starts []int
+	// pos[g] indexes group g's current value in props; the last group
+	// turns fastest.
+	pos []int
+	buf []fact.Property
+	// left is how many more combinations the cap allows.
+	left int
+	// single marks the one-value-per-predicate fast path: the only
+	// combination is props itself.
+	single bool
+}
+
+// reset starts the enumeration over props, which must be sorted (so
+// values of one predicate are contiguous), allowing at most limit
+// combinations. It reports whether the full cross product exceeds
+// limit.
+func (o *comboOdometer) reset(props []fact.Property, limit int) (capped bool) {
+	o.props, o.left = props, 0
 	if len(props) == 0 {
-		return nil, false
+		return false
 	}
-	// Group by predicate.
-	var groups [][]fact.Property
-	start := 0
-	for i := 1; i <= len(props); i++ {
-		if i == len(props) || props[i].Pred() != props[start].Pred() {
-			groups = append(groups, props[start:i])
-			start = i
+	if cap(o.pos) < len(props) {
+		// Size the scratch once for typical entities instead of growing
+		// it value by value.
+		n := max(len(props), 16)
+		o.starts, o.pos, o.buf = make([]int, 0, n+1), make([]int, 0, n), make([]fact.Property, 0, n)
+	}
+	o.starts = o.starts[:0]
+	for i := range props {
+		if i == 0 || props[i].Pred() != props[i-1].Pred() {
+			o.starts = append(o.starts, i)
 		}
 	}
-	combos := [][]fact.Property{{}}
-	capped := false
-	for _, g := range groups {
-		next := make([][]fact.Property, 0, len(combos)*len(g))
-	outer:
-		for _, c := range combos {
-			for _, p := range g {
-				if len(next) >= max {
-					capped = true
-					break outer
-				}
-				nc := make([]fact.Property, len(c), len(c)+1)
-				copy(nc, c)
-				next = append(next, append(nc, p))
-			}
-		}
-		combos = next
+	groups := len(o.starts)
+	o.starts = append(o.starts, len(props))
+	o.single = groups == len(props)
+	// The product only matters up to the cap, so stop multiplying once
+	// it is past.
+	product := 1
+	for g := 0; g < groups && product <= limit; g++ {
+		product *= o.starts[g+1] - o.starts[g]
 	}
-	return combos, capped
+	o.left = max(min(product, limit), 0)
+	if !o.single {
+		// Every group starts on its first value, except the last, which
+		// sits one before it: the first call to next advances onto the
+		// first combination.
+		o.pos, o.buf = o.pos[:0], o.buf[:0]
+		for g := 0; g < groups; g++ {
+			o.pos = append(o.pos, o.starts[g])
+			o.buf = append(o.buf, props[o.starts[g]])
+		}
+		o.pos[groups-1]--
+	}
+	return product > limit
+}
+
+// next returns the next combination, or nil when the enumeration or
+// the cap is exhausted.
+func (o *comboOdometer) next() []fact.Property {
+	if o.left == 0 {
+		return nil
+	}
+	o.left--
+	if o.single {
+		return o.props
+	}
+	// Advance the last group, carrying into earlier groups on wrap. The
+	// cap never exceeds the product, so the first group never wraps.
+	for g := len(o.pos) - 1; g >= 0; g-- {
+		o.pos[g]++
+		if o.pos[g] < o.starts[g+1] {
+			o.buf[g] = o.props[o.pos[g]]
+			break
+		}
+		o.pos[g] = o.starts[g]
+		o.buf[g] = o.props[o.pos[g]]
+	}
+	return o.buf
 }
 
 // finalizeInto folds a node's pending entities into its entity set
@@ -644,16 +697,8 @@ func (b *Builder) finalizeInto(n *Node, scratch []int32) []int32 {
 	if len(n.pending) == 0 {
 		return scratch
 	}
-	p := n.pending
-	sort.Slice(p, func(i, j int) bool { return p[i] < p[j] })
-	dedup := p[:0]
-	var last int32 = -1
-	for _, e := range p {
-		if e != last {
-			dedup = append(dedup, e)
-			last = e
-		}
-	}
+	slices.Sort(n.pending)
+	dedup := slices.Compact(n.pending)
 	var merged []int32
 	if n.Entities.Empty() {
 		merged = dedup
@@ -842,16 +887,6 @@ func collectNodes(m map[idset.SetID]*Node) []*Node {
 // order is unchanged and the build stays deterministic.
 func sortedNodes(m map[idset.SetID]*Node) []*Node {
 	out := collectNodes(m)
-	sort.Slice(out, func(i, j int) bool { return lessProps(out[i].Props, out[j].Props) })
+	slices.SortFunc(out, func(a, b *Node) int { return slices.Compare(a.Props, b.Props) })
 	return out
-}
-
-// lessProps compares property sets lexicographically, shorter first.
-func lessProps(a, b []fact.Property) bool {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
 }

@@ -10,7 +10,11 @@ type SetID int32
 // bucketed with exact verification, so fingerprint collisions cost a
 // comparison, never a wrong ID. Not safe for concurrent use.
 type Interner[E Elem] struct {
-	byFP map[uint64][]SetID
+	// head maps a fingerprint to the newest set in its bucket; next[id]
+	// chains to the bucket's next-older set, -1 ending the chain. One
+	// map entry per distinct fingerprint, no per-bucket slice.
+	head map[uint64]SetID
+	next []SetID
 	// offs[id] .. offs[id+1] delimit set id in the arena.
 	offs  []uint32
 	arena []E
@@ -19,7 +23,7 @@ type Interner[E Elem] struct {
 // NewInterner returns an empty interner.
 func NewInterner[E Elem]() *Interner[E] {
 	return &Interner[E]{
-		byFP: make(map[uint64][]SetID),
+		head: make(map[uint64]SetID),
 		offs: []uint32{0},
 	}
 }
@@ -29,22 +33,35 @@ func NewInterner[E Elem]() *Interner[E] {
 // pass scratch buffers.
 func (in *Interner[E]) Intern(set []E) SetID {
 	fp := Fingerprint64(set)
-	for _, id := range in.byFP[fp] {
-		if Equal(in.get(id), set) {
+	first, ok := in.head[fp]
+	if ok {
+		if id := in.find(first, set); id >= 0 {
 			return id
 		}
+	} else {
+		first = -1
 	}
-	id := SetID(len(in.offs) - 1)
+	id := SetID(len(in.next))
 	in.arena = append(in.arena, set...)
 	in.offs = append(in.offs, uint32(len(in.arena)))
-	in.byFP[fp] = append(in.byFP[fp], id)
+	in.next = append(in.next, first)
+	in.head[fp] = id
 	return id
 }
 
 // Lookup returns the ID of set without interning it, or -1 when the set
 // has not been interned.
 func (in *Interner[E]) Lookup(set []E) SetID {
-	for _, id := range in.byFP[Fingerprint64(set)] {
+	if first, ok := in.head[Fingerprint64(set)]; ok {
+		return in.find(first, set)
+	}
+	return -1
+}
+
+// find walks the bucket chain starting at id for set, returning -1 when
+// no set in the chain equals it.
+func (in *Interner[E]) find(id SetID, set []E) SetID {
+	for ; id >= 0; id = in.next[id] {
 		if Equal(in.get(id), set) {
 			return id
 		}

@@ -119,6 +119,49 @@ func TestInternerMergeEmpty(t *testing.T) {
 	checkMergeAgainstRef(t, dst, src)
 }
 
+// TestInternerCollisionChain forces three sets into one fingerprint
+// bucket, as if their fingerprints collided, by rewiring the interner's
+// chains: every set's bucket starts at the newest set and walks down
+// to the oldest. Intern, Lookup and Merge must walk past the head: the
+// sets keep distinct IDs in first-intern order, every set stays
+// findable, and Merge rebases chained and new sets alike.
+func TestInternerCollisionChain(t *testing.T) {
+	sets := [][]int32{{1}, {1, 2}, {2, 5, 9}}
+	dst := NewInterner[int32]()
+	for i, s := range sets {
+		if id := dst.Intern(s); id != SetID(i) {
+			t.Fatalf("Intern(%v) = %d, want %d", s, id, i)
+		}
+	}
+	// One chain 2 → 1 → 0, reachable from each set's fingerprint.
+	for id := range sets {
+		dst.next[id] = SetID(id) - 1
+		dst.head[Fingerprint64(sets[id])] = SetID(len(sets) - 1)
+	}
+	for i, s := range sets {
+		if id := dst.Lookup(s); id != SetID(i) {
+			t.Fatalf("Lookup(%v) = %d, want %d", s, id, i)
+		}
+		if id := dst.Intern(s); id != SetID(i) {
+			t.Fatalf("re-Intern(%v) = %d, want %d", s, id, i)
+		}
+	}
+	if dst.Len() != len(sets) {
+		t.Fatalf("Len = %d, want %d", dst.Len(), len(sets))
+	}
+	if id := dst.Lookup([]int32{4}); id != -1 {
+		t.Fatalf("Lookup(missing) = %d, want -1", id)
+	}
+
+	// src holds two chained sets of dst, out of order, around two sets
+	// of its own.
+	src := NewInterner[int32]()
+	for _, s := range [][]int32{{7}, {1}, {1, 2}, {8, 9}} {
+		src.Intern(s)
+	}
+	checkMergeAgainstRef(t, dst, src)
+}
+
 // FuzzInternerMerge decodes the input into two interning sequences
 // (element stream chopped into sets by a width stream) and checks Merge
 // against the map-based reference.

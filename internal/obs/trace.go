@@ -30,12 +30,16 @@ type Tracer struct {
 	// rootSeen counts root-span starts for the modulus.
 	sampleN  atomic.Int64
 	rootSeen atomic.Int64
-	// retain bounds len(events); ≤0 keeps everything (batch runs that
-	// export one trace at exit). Long-lived servers set it so untaken
-	// traces age out instead of growing without bound.
+	// retain bounds the retained spans; ≤0 keeps everything (batch runs
+	// that export one trace at exit). Long-lived servers set it so
+	// untaken traces age out instead of growing without bound.
 	retain atomic.Int64
 	mu     sync.Mutex
+	// events[head:] are the retained completed spans in completion
+	// order; events[:head] are aged-out slots (zeroed) that End reclaims
+	// in one copy once they outnumber an eighth of the cap.
 	events []spanEvent
+	head   int
 }
 
 // spanEvent is one completed span. Times are offsets from the tracer's
@@ -48,7 +52,25 @@ type spanEvent struct {
 	name   string
 	start  time.Duration
 	dur    time.Duration
-	args   map[string]string
+	args   []spanArg
+}
+
+// spanArg is one key/value annotation. Spans carry them as a slice,
+// not a map: a server retains up to its retention cap of spans, and a
+// one-entry map costs ten times the slice.
+type spanArg struct{ key, value string }
+
+// argMap returns args as the map SpanRecord and the Chrome export
+// carry, nil when there are none.
+func argMap(args []spanArg) map[string]string {
+	if len(args) == 0 {
+		return nil
+	}
+	m := make(map[string]string, len(args))
+	for _, a := range args {
+		m[a.key] = a.value
+	}
+	return m
 }
 
 // NewTracer returns an empty tracer.
@@ -87,7 +109,7 @@ type Span struct {
 	trace  int64
 	name   string
 	start  time.Duration
-	args   map[string]string
+	args   []spanArg
 }
 
 // ID returns the span's identifier, unique within its tracer (0 on a
@@ -200,10 +222,13 @@ func (s *Span) Arg(key, value string) *Span {
 	if s == nil {
 		return nil
 	}
-	if s.args == nil {
-		s.args = make(map[string]string, 4)
+	for i := range s.args {
+		if s.args[i].key == key {
+			s.args[i].value = value
+			return s
+		}
 	}
-	s.args[key] = value
+	s.args = append(s.args, spanArg{key, value})
 	return s
 }
 
@@ -213,25 +238,33 @@ func (s *Span) End() {
 	if s == nil {
 		return
 	}
+	t := s.t
 	ev := spanEvent{
 		id:     s.id,
 		parent: s.parent,
 		trace:  s.trace,
 		name:   s.name,
 		start:  s.start,
-		dur:    time.Since(s.t.epoch) - s.start,
+		dur:    time.Since(t.epoch) - s.start,
 		args:   s.args,
 	}
-	max := int(s.t.retain.Load())
-	s.t.mu.Lock()
-	s.t.events = append(s.t.events, ev)
-	if max > 0 && len(s.t.events) > max {
+	max := int(t.retain.Load())
+	t.mu.Lock()
+	t.events = append(t.events, ev)
+	if drop := len(t.events) - t.head - max; max > 0 && drop > 0 {
 		// Age out the oldest completed spans; their traces become
-		// partial, which profile consumers tolerate.
-		drop := len(s.t.events) - max
-		s.t.events = append(s.t.events[:0], s.t.events[drop:]...)
+		// partial, which profile consumers tolerate. Moving head keeps
+		// End O(1) at the cap: the retained window is copied down only
+		// once per max/8 aged-out spans, not on every End.
+		clear(t.events[t.head : t.head+drop])
+		t.head += drop
+		if t.head > max/8 {
+			n := copy(t.events, t.events[t.head:])
+			clear(t.events[n:])
+			t.events, t.head = t.events[:n], 0
+		}
 	}
-	s.t.mu.Unlock()
+	t.mu.Unlock()
 }
 
 // SetRetention bounds the number of completed spans the tracer retains;
@@ -275,17 +308,18 @@ func (t *Tracer) TakeTrace(traceID int64) []SpanRecord {
 	defer t.mu.Unlock()
 	var out []SpanRecord
 	kept := t.events[:0]
-	for _, ev := range t.events {
+	for _, ev := range t.events[t.head:] {
 		if ev.trace != traceID {
 			kept = append(kept, ev)
 			continue
 		}
 		out = append(out, SpanRecord{
 			ID: ev.id, Parent: ev.parent, Trace: ev.trace, Name: ev.name,
-			Start: ev.start, Duration: ev.dur, Args: ev.args,
+			Start: ev.start, Duration: ev.dur, Args: argMap(ev.args),
 		})
 	}
-	t.events = kept
+	clear(t.events[len(kept):])
+	t.events, t.head = kept, 0
 	return out
 }
 
@@ -296,7 +330,7 @@ func (t *Tracer) Len() int {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.events)
+	return len(t.events) - t.head
 }
 
 // chromeEvent is one trace event in the Chrome trace-event format
@@ -322,7 +356,7 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	var events []spanEvent
 	if t != nil {
 		t.mu.Lock()
-		events = append(events, t.events...)
+		events = append(events, t.events[t.head:]...)
 		t.mu.Unlock()
 	}
 
@@ -381,7 +415,7 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 			Dur:   float64(ev.dur) / float64(time.Microsecond),
 			PID:   1,
 			TID:   lane + 1,
-			Args:  ev.args,
+			Args:  argMap(ev.args),
 		})
 	}
 

@@ -34,8 +34,11 @@ func TestTracerSpansAndArgs(t *testing.T) {
 	tr := NewTracer()
 	ctx, root := tr.StartSpan(context.Background(), "framework/run")
 	_, child := StartSpan(ctx, "detect")
-	child.Arg("slices", "3").End()
+	child.Arg("slices", "2").Arg("slices", "3").End()
 	root.Arg("rounds", "1").End()
+	if len(child.args) != 1 {
+		t.Errorf("a repeated key left %d args, want 1", len(child.args))
+	}
 
 	if tr.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", tr.Len())
@@ -277,22 +280,66 @@ func TestTakeTrace(t *testing.T) {
 	}
 }
 
-// TestSpanRetention: with a cap set, the oldest completed spans age out.
+// TestSpanRetention: with a cap set, the oldest completed spans age
+// out. Across many wraps of the cap the tracer keeps exactly the newest
+// spans in completion order, takes and exports only those, and holds a
+// bounded number of slots for them.
 func TestSpanRetention(t *testing.T) {
+	const max = 8
 	tr := NewTracer()
-	tr.SetRetention(3)
-	for i := 0; i < 10; i++ {
+	tr.SetRetention(max)
+	var ids []int64
+	for i := 0; i < 100; i++ {
+		_, s := tr.StartSpan(context.Background(), "request")
+		s.End()
+		ids = append(ids, s.TraceID())
+		if want := min(i+1, max); tr.Len() != want {
+			t.Fatalf("after %d spans Len = %d, want %d", i+1, tr.Len(), want)
+		}
+		if slots := len(tr.events); slots > max+max/8+1 {
+			t.Fatalf("after %d spans the tracer holds %d slots for %d spans", i+1, slots, max)
+		}
+	}
+	if evs := decodeTrace(t, tr); len(evs) != max {
+		t.Fatalf("export has %d events, want %d", len(evs), max)
+	}
+	if recs := tr.TakeTrace(ids[len(ids)-max-1]); recs != nil {
+		t.Errorf("an aged-out trace returned %d spans", len(recs))
+	}
+	// Every survivor is still there.
+	for k, id := range ids[len(ids)-max:] {
+		recs := tr.TakeTrace(id)
+		if len(recs) != 1 || recs[0].ID != id {
+			t.Fatalf("survivor %d (trace %d): took %+v", k, id, recs)
+		}
+		if tr.Len() != max-k-1 {
+			t.Fatalf("Len after taking %d survivors = %d", k+1, tr.Len())
+		}
+	}
+	for i := 0; i < 3*max; i++ {
 		_, s := tr.StartSpan(context.Background(), "request")
 		s.End()
 	}
-	if tr.Len() != 3 {
-		t.Fatalf("Len = %d, want retention cap 3", tr.Len())
-	}
-	// The survivors are the newest spans (highest IDs).
-	evs := decodeTrace(t, tr)
-	if len(evs) != 3 {
-		t.Fatalf("export has %d events, want 3", len(evs))
+	if tr.Len() != max {
+		t.Errorf("Len after refilling = %d, want %d", tr.Len(), max)
 	}
 	var nilTr *Tracer
 	nilTr.SetRetention(5) // no-op
+}
+
+// BenchmarkSpanEndAtRetention is End on a tracer already holding its
+// retention cap of spans, the steady state of a long-lived server.
+func BenchmarkSpanEndAtRetention(b *testing.B) {
+	const max = 1 << 17
+	tr := NewTracer()
+	tr.SetRetention(max)
+	for i := 0; i < max; i++ {
+		_, s := tr.StartSpan(context.Background(), "request")
+		s.End()
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, s := tr.StartSpan(context.Background(), "request")
+		s.End()
+	}
 }

@@ -22,8 +22,8 @@ import (
 
 // routes mounts the JSON API. Every handler runs behind withMetrics,
 // which applies the server's request deadline to the request context
-// (client disconnects already propagate through it) and records the
-// per-endpoint counter and timer.
+// (client disconnects already propagate through it) and its body bound
+// to the request body, and records the per-endpoint counter and timer.
 func (s *Server) routes(mux *http.ServeMux) {
 	handle := func(pattern string, h http.HandlerFunc) {
 		mux.HandleFunc(pattern, s.withMetrics(pattern, h))
@@ -79,9 +79,9 @@ func requestID(ctx context.Context) string {
 }
 
 // withMetrics wraps every API handler with the request-scoped
-// observability: the request deadline, a request ID, a root span (the
-// trace every discovery span of this request hangs off), the
-// per-endpoint counter/timer/latency-histogram, and one structured
+// observability: the request deadline, the body bound, a request ID, a
+// root span (the trace every discovery span of this request hangs off),
+// the per-endpoint counter/timer/latency-histogram, and one structured
 // access-log record on completion.
 func (s *Server) withMetrics(pattern string, h http.HandlerFunc) http.HandlerFunc {
 	requests := s.reg.CounterVec("serve/requests", "endpoint", "code")
@@ -109,6 +109,7 @@ func (s *Server) withMetrics(pattern string, h http.HandlerFunc) http.HandlerFun
 		r = r.WithContext(ctx)
 
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
+		r.Body = http.MaxBytesReader(sw, r.Body, s.opts.MaxBodyBytes)
 		start := time.Now()
 		h(sw, r)
 		elapsed := time.Since(start)
@@ -220,7 +221,7 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		Options *apiOptions `json:"options"`
 	}
 	if err := decodeJSONBody(r, &req, true); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
+		writeErr(w, bodyErrCode(err), "bad request body: %v", err)
 		return
 	}
 	// The options JSON persisted with the create record is the
@@ -314,10 +315,14 @@ func (s *Server) handleLoadKB(w http.ResponseWriter, r *http.Request) {
 	// bytes cannot fail part-way.
 	raw, err := io.ReadAll(ctxReader(r.Context(), r.Body))
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, "reading KB body: %v", err)
+		writeErr(w, bodyErrCode(err), "reading KB body: %v", err)
 		return
 	}
-	if _, err := loadKB(midas.NewKB(), format, raw); err != nil {
+	// The scratch KB reports its load metrics to a throwaway registry:
+	// only the session load below counts in kb/load_*.
+	scratch := midas.NewKB()
+	scratch.SetMetrics(midas.NewMetrics())
+	if _, err := loadKB(scratch, format, raw); err != nil {
 		writeErr(w, http.StatusBadRequest, "loading KB: %v", err)
 		return
 	}
@@ -405,16 +410,16 @@ func parseFactsTSV(r io.Reader) ([]midas.Fact, error) {
 		}
 		cols := strings.Split(text, "\t")
 		if len(cols) < 3 {
-			return nil, fmt.Errorf("facts line %d: %d columns, want ≥ 3", line, len(cols))
+			return nil, lineErr(sc, fmt.Errorf("facts line %d: %d columns, want ≥ 3", line, len(cols)))
 		}
 		if cols[0] == "" || cols[1] == "" || cols[2] == "" {
-			return nil, fmt.Errorf("facts line %d: empty subject, predicate, or object", line)
+			return nil, lineErr(sc, fmt.Errorf("facts line %d: empty subject, predicate, or object", line))
 		}
 		f := midas.Fact{Subject: cols[0], Predicate: cols[1], Object: cols[2], Confidence: 1}
 		if len(cols) > 3 && cols[3] != "" {
 			conf, err := strconv.ParseFloat(cols[3], 64)
 			if err != nil || !validConfidence(conf) {
-				return nil, fmt.Errorf("facts line %d: bad confidence %q", line, cols[3])
+				return nil, lineErr(sc, fmt.Errorf("facts line %d: bad confidence %q", line, cols[3]))
 			}
 			f.Confidence = conf
 		}
@@ -427,6 +432,16 @@ func parseFactsTSV(r io.Reader) ([]midas.Fact, error) {
 		return nil, fmt.Errorf("reading facts: %w", err)
 	}
 	return facts, nil
+}
+
+// lineErr reports a malformed facts line, unless the line was cut short
+// by a failed read (the body bound, a disconnect): then the read error
+// is what went wrong.
+func lineErr(sc *bufio.Scanner, err error) error {
+	if rerr := sc.Err(); rerr != nil {
+		return fmt.Errorf("reading facts: %w", rerr)
+	}
+	return err
 }
 
 // handleAddFacts accepts extraction output either as a JSON array of
@@ -449,7 +464,7 @@ func (s *Server) handleAddFacts(w http.ResponseWriter, r *http.Request) {
 		facts, err = parseFactsTSV(body)
 	}
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, "bad facts body: %v", err)
+		writeErr(w, bodyErrCode(err), "bad facts body: %v", err)
 		return
 	}
 	sn.wmu.Lock()
@@ -629,7 +644,7 @@ func (s *Server) handleAbsorb(w http.ResponseWriter, r *http.Request) {
 		Slices []int  `json:"slices"`
 	}
 	if err := decodeJSONBody(r, &req, false); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
+		writeErr(w, bodyErrCode(err), "bad request body: %v", err)
 		return
 	}
 	j := s.job(req.Job)
@@ -711,6 +726,16 @@ func ctxReader(ctx context.Context, r io.Reader) io.Reader {
 type ctxReadFunc func(p []byte) (int, error)
 
 func (f ctxReadFunc) Read(p []byte) (int, error) { return f(p) }
+
+// bodyErrCode answers 413 for a body past Options.MaxBodyBytes and 400
+// for any other unreadable or malformed body.
+func bodyErrCode(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
+}
 
 // decodeJSONBody decodes a JSON request body into v. An empty body is
 // allowed when optional is true (e.g. POST /api/sessions with defaults).

@@ -132,7 +132,6 @@ func (s *Server) trackRunning() (untrack func()) {
 // most of the detection work was served from the session's
 // incremental state.
 func (s *Server) execute(ctx context.Context, sn *session, j *job, fp uint64) {
-	defer s.trackRunning()()
 	s.logger().InfoContext(ctx, "job started")
 	res, err := s.discover(ctx, sn.sess)
 	if err == nil && res != nil {
@@ -216,6 +215,7 @@ func (s *Server) startDiscover(ctx context.Context, sn *session, wait bool, time
 		j.mu.Unlock()
 		runCtx = obs.ContextWithSpan(runCtx, jspan)
 		runCtx = obs.ContextWithLogFields(runCtx, "job", j.id, "session", sn.name)
+		defer s.trackRunning()()
 		s.execute(runCtx, sn, j, fp)
 		jspan.Arg("status", j.statusNow()).End()
 		return j, nil
@@ -231,9 +231,13 @@ func (s *Server) startDiscover(ctx context.Context, sn *session, wait bool, time
 	j.mu.Lock()
 	j.cancel, j.done = cancel, done
 	j.mu.Unlock()
+	// The job counts as running from here, not from when its goroutine
+	// is first scheduled, so a Drain right after the 202 sees it.
+	untrack := s.trackRunning()
 	s.jobsWG.Add(1)
 	go func() {
 		defer s.jobsWG.Done()
+		defer untrack()
 		defer close(done)
 		defer cancel()
 		defer s.release()

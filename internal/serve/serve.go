@@ -43,6 +43,10 @@ type Options struct {
 	// JobTimeout bounds each asynchronous discovery job. Default:
 	// unlimited.
 	JobTimeout time.Duration
+	// MaxBodyBytes bounds every request body (KB loads, fact batches,
+	// JSON requests); a longer body is answered 413. Default:
+	// DefaultMaxBodyBytes.
+	MaxBodyBytes int64
 	// Registry receives the service metrics (serve/* series) and is the
 	// registry whose telemetry endpoints are mounted on the API mux.
 	// Default: the process-wide obs registry.
@@ -97,6 +101,11 @@ type Options struct {
 	// means NewIDSource(0): plain deterministic counters.
 	IDs *IDSource
 }
+
+// DefaultMaxBodyBytes is the request-body bound when
+// Options.MaxBodyBytes is not positive: 64 MiB, about nine times the
+// whole ReVerb-Slim facts.tsv posted in one request.
+const DefaultMaxBodyBytes = 64 << 20
 
 // Discover is the discovery job body: the function a Server runs for
 // each non-cached discovery. The default calls sess.DiscoverContext;
@@ -195,6 +204,9 @@ func New(opts Options) *Server {
 	}
 	if opts.RequestTimeout == 0 {
 		opts.RequestTimeout = 30 * time.Second
+	}
+	if opts.MaxBodyBytes <= 0 {
+		opts.MaxBodyBytes = DefaultMaxBodyBytes
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	tracer := opts.Trace

@@ -395,9 +395,17 @@ func TestDrainWithInFlightJob(t *testing.T) {
 	defer cancel()
 	drained := make(chan int)
 	go func() { drained <- s.Drain(drainCtx) }()
+	// Let Drain take its in-flight count first: a discover accepted
+	// before the drain begins is a second job legitimately in flight.
+	deadline := time.Now().Add(5 * time.Second)
+	for reg.Gauge("serve/draining").Value() != 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("Drain never started")
+		}
+		time.Sleep(time.Millisecond)
+	}
 
 	// Draining servers refuse new work.
-	deadline := time.Now().Add(5 * time.Second)
 	for {
 		code := do(t, "POST", ts.URL+"/api/sessions/g/discover", nil, "", nil)
 		if code == http.StatusServiceUnavailable {
@@ -514,5 +522,64 @@ func TestFactsTSVAndKBFormats(t *testing.T) {
 	}
 	if code := do(t, "GET", ts.URL+"/api/jobs/j999", nil, "", nil); code != 404 {
 		t.Fatalf("ghost job: HTTP %d", code)
+	}
+}
+
+// TestKBLoadCountedOnce: the staging parse that validates a KB body
+// before it is logged must not count as a load — one served load of N
+// triples raises kb/load_triples by exactly N.
+func TestKBLoadCountedOnce(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	do(t, "POST", ts.URL+"/api/sessions", strings.NewReader(`{"name":"kbc"}`), "application/json", nil)
+	body := "a1\tkind\talpha\na2\tkind\talpha\na3\tkind\tbeta\n"
+	loaded := obs.Default().Counter("kb/load_triples")
+	before := loaded.Value()
+	var kb struct{ Added int }
+	if code := do(t, "POST", ts.URL+"/api/sessions/kbc/kb", strings.NewReader(body), "", &kb); code != 200 || kb.Added != 3 {
+		t.Fatalf("kb load: HTTP %d added %d, want 200 added 3", code, kb.Added)
+	}
+	if got := loaded.Value() - before; got != 3 {
+		t.Errorf("kb/load_triples rose by %d for one load of 3 triples, want 3", got)
+	}
+}
+
+// TestRequestBodyBound: every body reader stops at Options.MaxBodyBytes
+// and the request is answered 413 without touching the session, while
+// bodies within the bound are served as usual.
+func TestRequestBodyBound(t *testing.T) {
+	const limit = 1024
+	_, ts := newTestServer(t, Options{MaxBodyBytes: limit})
+	if code := do(t, "POST", ts.URL+"/api/sessions", strings.NewReader(`{"name":"big"}`), "application/json", nil); code != 201 {
+		t.Fatalf("create within bound: HTTP %d, want 201", code)
+	}
+	postFacts(t, ts.URL, "big", corpusFacts("small", 2))
+
+	bigJSON, _ := json.Marshal(corpusFacts("large", 20))
+	bigTSV := strings.Repeat("subject\tkind\tobject\t0.9\thttp://x.example.com/a.htm\n", 40)
+	padded := `{"name":"` + strings.Repeat("x", limit) + `"}`
+	cases := []struct {
+		name, path, ctype, body string
+	}{
+		{"facts json", "/api/sessions/big/facts", "application/json", string(bigJSON)},
+		{"facts tsv", "/api/sessions/big/facts", "text/tab-separated-values", bigTSV},
+		{"kb", "/api/sessions/big/kb", "", bigTSV},
+		{"create session", "/api/sessions", "application/json", padded},
+		{"absorb", "/api/sessions/big/absorb", "application/json", `{"job":"` + strings.Repeat("j", limit) + `"}`},
+	}
+	for _, tc := range cases {
+		if len(tc.body) <= limit {
+			t.Fatalf("%s: test body of %d bytes is within the %d-byte bound", tc.name, len(tc.body), limit)
+		}
+		if code := do(t, "POST", ts.URL+tc.path, strings.NewReader(tc.body), tc.ctype, nil); code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: HTTP %d for a %d-byte body, want 413", tc.name, code, len(tc.body))
+		}
+	}
+	var info struct {
+		CorpusFacts int `json:"corpus_facts"`
+		KBFacts     int `json:"kb_facts"`
+	}
+	do(t, "GET", ts.URL+"/api/sessions/big", nil, "", &info)
+	if info.CorpusFacts != 4 || info.KBFacts != 0 {
+		t.Errorf("after rejected bodies: %d corpus facts, %d KB facts; want 4 and 0", info.CorpusFacts, info.KBFacts)
 	}
 }

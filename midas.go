@@ -81,6 +81,11 @@ func NewKB() *KB {
 	return &KB{store: kb.New(kb.NewSpace())}
 }
 
+// SetMetrics routes the KB's bulk-load metrics (kb/load_triples, load
+// timings, throughput) to m; nil restores DefaultMetrics(). Call before
+// loading; not safe concurrently with loads.
+func (k *KB) SetMetrics(m *Metrics) { k.store.SetObs(m.registry()) }
+
 // Add inserts a fact, reporting whether it was new.
 func (k *KB) Add(subject, predicate, object string) bool {
 	return k.store.AddStrings(subject, predicate, object)
