@@ -12,6 +12,8 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"midas"
@@ -56,13 +58,29 @@ func splitHoldback(facts []midas.Fact) (main, heldA, heldB []midas.Fact) {
 	return main, heldA, heldB
 }
 
+// moved copies facts onto the page url.
+func moved(facts []midas.Fact, url string) []midas.Fact {
+	out := make([]midas.Fact, len(facts))
+	for i, f := range facts {
+		f.URL = url
+		out[i] = f
+	}
+	return out
+}
+
 func TestIncrementalDiscoverEquivalence(t *testing.T) {
+	reverb := datagen.ReVerbSlim(datagen.SlimParams{Domains: 10, GoodDomains: 5, Seed: 42})
 	worlds := []struct {
 		name  string
 		world *datagen.World
+		// minConf > 0 filters the corpus before discovery, so the
+		// framework cannot use the session's partition and walks every
+		// source against the prior.
+		minConf float64
 	}{
-		{"reverb-slim", datagen.ReVerbSlim(datagen.SlimParams{Domains: 10, GoodDomains: 5, Seed: 42})},
-		{"nell-slim", datagen.NELLSlim(datagen.SlimParams{Domains: 10, GoodDomains: 5, Seed: 43})},
+		{"reverb-slim", reverb, 0},
+		{"nell-slim", datagen.NELLSlim(datagen.SlimParams{Domains: 10, GoodDomains: 5, Seed: 43}), 0},
+		{"reverb-slim-minconf", reverb, 0.85},
 	}
 	workerSet := []int{1}
 	if n := runtime.GOMAXPROCS(0); n > 1 {
@@ -72,7 +90,7 @@ func TestIncrementalDiscoverEquivalence(t *testing.T) {
 		facts := worldFacts(tc.world)
 		for _, workers := range workerSet {
 			t.Run(fmt.Sprintf("%s/workers=%d", tc.name, workers), func(t *testing.T) {
-				opts := &midas.Options{Workers: workers}
+				opts := &midas.Options{Workers: workers, MinConfidence: tc.minConf}
 				sess := midas.NewSession(nil, opts)
 				var log []midas.Fact
 				add := func(fs []midas.Fact) {
@@ -158,7 +176,44 @@ func TestIncrementalDiscoverEquivalence(t *testing.T) {
 				if len(r.Slices) > 1 {
 					sess.Absorb(r.Slices[len(r.Slices)-1])
 				}
-				check("mixed")
+				r = check("mixed")
+
+				// A delta that opens a brand-new domain: a copy of the
+				// facts behind the current top slice, so the new domain
+				// must surface a slice of its own. Only the new page and
+				// its new ancestors are processed.
+				if len(r.Slices) == 0 {
+					t.Fatal("no slice to copy onto a new domain")
+				}
+				var topFacts []midas.Fact
+				for _, f := range log {
+					if src := source.Normalize(f.URL); src == r.Slices[0].Source || strings.HasPrefix(src, r.Slices[0].Source+"/") {
+						topFacts = append(topFacts, f)
+					}
+				}
+				const newDomain = "brand-new-domain.example"
+				newPage := "http://" + newDomain + "/section/page.htm"
+				add(moved(topFacts, newPage))
+				r = check("new-domain")
+				if want := source.Depth(source.Normalize(newPage)); r.SourcesProcessed != want {
+					t.Errorf("new domain: processed %d sources, want %d (the new page and its new ancestors)",
+						r.SourcesProcessed, want)
+				}
+				if !slices.ContainsFunc(r.Slices, func(sl midas.Slice) bool { return source.Domain(sl.Source) == newDomain }) {
+					t.Error("new domain surfaced no slice")
+				}
+
+				// A delta on a new deep path under an existing domain
+				// creates new intermediate ancestors; the domain itself
+				// is the only existing source it dirties.
+				domain := source.Domain(source.Normalize(heldB[0].URL))
+				deepPage := "http://" + domain + "/fresh/branch/leaf.htm"
+				add(moved(heldB, deepPage))
+				r = check("deep-path")
+				if want := source.Depth(source.Normalize(deepPage)); r.SourcesProcessed != want {
+					t.Errorf("deep path: processed %d sources, want %d (three new sources and their domain)",
+						r.SourcesProcessed, want)
+				}
 
 				// An untracked KB write (through KB()) breaks the delta
 				// trail: the next discovery must fall back to a full

@@ -376,34 +376,68 @@ type LeafSource struct {
 	FP      uint64
 }
 
-// LeafSources partitions a corpus by normalized source URL
-// (source.Normalize), fingerprinting each source's triple sequence.
-// Facts whose URL normalizes to "" are dropped, mirroring the
-// framework's sharding.
-func LeafSources(c *Corpus) map[string]*LeafSource {
-	out := make(map[string]*LeafSource)
-	srcOf := make(map[dict.ID]string)
+// Partition is a corpus partitioned by normalized source URL
+// (source.Normalize). The corpus is append-only, so a partition is
+// extended rather than rebuilt: Extend folds in only the facts added
+// since the previous call, appending to each touched source's triples
+// and advancing its fingerprint. Facts whose URL normalizes to "" are
+// dropped, mirroring the framework's sharding.
+type Partition struct {
+	// Leaves maps each normalized source to its share of the corpus.
+	Leaves map[string]*LeafSource
+	// srcOf caches each URL's normalized source.
+	srcOf map[dict.ID]string
+	// n is the number of corpus facts folded in.
+	n int
+}
+
+// NewPartition returns an empty partition.
+func NewPartition() *Partition {
+	return &Partition{Leaves: make(map[string]*LeafSource), srcOf: make(map[dict.ID]string)}
+}
+
+// Extend folds in c.Facts[p.Len():]. c must be the corpus earlier calls
+// extended the partition from, grown only by appends. A call with
+// nothing to fold in writes nothing, so it may run beside readers.
+func (p *Partition) Extend(c *Corpus) {
+	if len(c.Facts) == p.n {
+		return
+	}
 	var w [2]uint64
-	for _, e := range c.Facts {
-		src, ok := srcOf[e.URL]
+	for _, e := range c.Facts[p.n:] {
+		src, ok := p.srcOf[e.URL]
 		if !ok {
 			src = source.Normalize(c.URLs.String(e.URL))
-			srcOf[e.URL] = src
+			p.srcOf[e.URL] = src
 		}
 		if src == "" {
 			continue
 		}
-		ls := out[src]
+		ls := p.Leaves[src]
 		if ls == nil {
 			ls = &LeafSource{FP: idset.FingerprintSeed}
-			out[src] = ls
+			p.Leaves[src] = ls
 		}
 		ls.Triples = append(ls.Triples, e.Triple)
 		w[0] = uint64(uint32(e.Triple.S))<<32 | uint64(uint32(e.Triple.P))
 		w[1] = uint64(uint32(e.Triple.O))
 		ls.FP = idset.AppendFingerprint64(ls.FP, w[:])
 	}
-	return out
+	p.n = len(c.Facts)
+}
+
+// Len returns the number of corpus facts folded in.
+func (p *Partition) Len() int { return p.n }
+
+// Source returns the normalized source of a URL the partition has
+// folded in ("" for one that normalizes to "").
+func (p *Partition) Source(url dict.ID) string { return p.srcOf[url] }
+
+// LeafSources partitions a whole corpus: a new partition extended once.
+func LeafSources(c *Corpus) map[string]*LeafSource {
+	p := NewPartition()
+	p.Extend(c)
+	return p.Leaves
 }
 
 // Merge combines child fact tables into the table of their common parent

@@ -12,6 +12,16 @@
 // Surviving slices propagate upward; slices surviving at the domain
 // level are the framework's output.
 //
+// Runs are incremental. The corpus is append-only, so a caller that
+// keeps one fact.Partition across runs (Options.Partition) and hands
+// each run the previous run's Prior gets a dirty walk: only the leaves
+// that gained facts, the sources whose table holds a triple the KB
+// absorbed since (Options.Delta), and their ancestors are visited, and
+// every other source keeps its prior tables and surviving slices
+// untouched. A run's cost is then proportional to the delta, not to
+// the corpus. Without a matching partition every source is visited and
+// the prior still spares the unchanged ones their detection.
+//
 // The paper runs this topology on MapReduce; here each round's shards
 // are dispatched to a local worker pool, which preserves the
 // communication structure (keyed sharding, independent detection per
@@ -25,7 +35,9 @@ package framework
 import (
 	"context"
 	"fmt"
+	"maps"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -83,30 +95,99 @@ type Options struct {
 	// pass Prior == nil instead. An empty Delta with a non-nil Prior
 	// asserts the KB's answer set is unchanged since Prior.Epoch.
 	Delta []kb.Triple
+	// Partition, when non-nil, is the leaf partition of the corpus,
+	// already extended over every one of its facts. A caller that keeps
+	// one partition across the runs of a growing corpus lets a run
+	// whose Prior was computed from the same partition walk only the
+	// sources the new facts and Delta can reach. nil partitions the
+	// corpus afresh and walks every source.
+	Partition *fact.Partition
+	// OmitNextPrior leaves Output.NextPrior nil. A run that will not
+	// seed another then releases each source's table once its parent
+	// has merged it, instead of holding every table to the end.
+	OmitNextPrior bool
 }
 
 // Prior carries the per-source state of a completed framework run:
-// each processed source's fact table and consolidated surviving slices,
-// keyed by the source's leaf-fact fingerprint, with newness annotations
-// valid for the KB at Epoch. It is produced by RunContext
-// (Output.NextPrior) and consumed opaquely via Options.Prior.
+// each source's fact table and consolidated surviving slices, keyed by
+// the source's leaf-fact fingerprint, with newness annotations valid
+// for the KB at Epoch. It is produced by RunContext (Output.NextPrior)
+// and consumed opaquely via Options.Prior. A Prior is never mutated:
+// the next run derives its source map from this one and overwrites
+// only the sources it visits.
 type Prior struct {
 	// Epoch is the KB epoch (kb.KB.Epoch) the run's newness
 	// annotations were computed against.
 	Epoch   uint64
-	sources map[string]*sourceState
+	sources stateMap
+	// part is the partition the run was handed (nil if none) and facts
+	// the number of corpus facts it held: a later run over the same
+	// partition finds its touched leaves among the facts appended since.
+	part  *fact.Partition
+	facts int
+	// roots lists the domain-level sources, sorted.
+	roots []string
+	// levels[d] tallies the sources and surviving slices at depth d.
+	levels []levelTally
 }
 
+// levelTally counts one hierarchy depth's sources and the slices
+// surviving their consolidation.
+type levelTally struct{ sources, slices int }
+
 // NumSources returns the number of per-source entries retained.
-func (p *Prior) NumSources() int { return len(p.sources) }
+func (p *Prior) NumSources() int { return p.sources.n }
+
+// stateMap maps sources to their states: a base map that is no longer
+// written plus an overlay of the entries written since, so the next
+// run copies only the overlay. Once the overlay outgrows 1/32 of the
+// base, derive folds the two into a new base. That keeps the amortized
+// copy per run proportional to the sources the runs wrote, and bounds
+// the superseded states the base keeps reachable.
+type stateMap struct {
+	base, over map[string]*sourceState
+	n          int // distinct sources
+}
+
+func (m *stateMap) get(src string) *sourceState {
+	if st, ok := m.over[src]; ok {
+		return st
+	}
+	return m.base[src]
+}
+
+func (m *stateMap) put(src string, st *sourceState) {
+	if m.get(src) == nil {
+		m.n++
+	}
+	m.over[src] = st
+}
+
+// derive returns a map with m's entries for the next run to write,
+// leaving m as it is.
+func (m *stateMap) derive() stateMap {
+	base := m.base
+	switch {
+	case len(base) == 0:
+		base = m.over // no longer written: it becomes the shared base
+	case len(m.over) > len(base)/32:
+		base = maps.Clone(base)
+		maps.Copy(base, m.over)
+	default:
+		return stateMap{base: base, over: maps.Clone(m.over), n: m.n}
+	}
+	return stateMap{base: base, over: make(map[string]*sourceState), n: m.n}
+}
 
 // sourceState is one source's cached results. leafFP fingerprints the
 // source's own (leaf) triples in corpus order — 0 for a source that had
-// none and exists only as a parent of deeper sources.
+// none and exists only as a parent of deeper sources. children lists
+// the source's child sources, sorted.
 type sourceState struct {
 	leafFP    uint64
 	table     *fact.Table
 	surviving []scored
+	children  []string
 }
 
 // reusePlan describes how much of the prior run one source may reuse
@@ -136,7 +217,7 @@ func planReuse(prior *Prior, src string, pe *pendingEntry, leafFP uint64, delta 
 	if prior == nil {
 		return reusePlan{}
 	}
-	st := prior.sources[src]
+	st := prior.sources.get(src)
 	if st == nil || st.leafFP != leafFP {
 		return reusePlan{}
 	}
@@ -258,23 +339,127 @@ type scored struct {
 	sourceTotal int
 }
 
-// item is a processed web source moving up the hierarchy. The two
-// reuse flags carry provenance to the parent's planReuse: tableReused
-// asserts the table (rows and newness bits alike) is byte-identical to
-// the prior run's, survivingSame that the surviving slices are too.
-type item struct {
-	src           string
-	table         *fact.Table
-	surviving     []scored
+// done is a completed source as its parent sees it: its state plus two
+// reuse flags that carry provenance to the parent's planReuse.
+// tableReused asserts the table (rows and newness bits alike) is
+// byte-identical to the prior run's, survivingSame that the surviving
+// slices are too.
+type done struct {
+	state         *sourceState
 	tableReused   bool
 	survivingSame bool
 }
 
-// pendingEntry accumulates the leaf facts and processed children of a
-// source until its own depth is reached.
+// pendingEntry holds what a source's round needs: its leaf facts and
+// fingerprint, and its completed children in source order.
 type pendingEntry struct {
 	triples  []kb.Triple
-	children []*item
+	leafFP   uint64
+	children []done
+	names    []string // children's sources, index-aligned with children
+}
+
+// walk is the set of sources a run visits, closed upward through
+// source.Parent. A full walk visits every source of the corpus. When the
+// prior run read the same partition, the walk visits only the sources
+// the delta can have changed — leaves that gained facts and prior
+// sources whose table holds a Delta triple, plus their ancestors —
+// and every other source keeps its prior state, which is exactly what
+// planReuse would have answered for it.
+type walk struct {
+	// base is the prior run an incremental walk extends; nil for a
+	// full walk.
+	base *Prior
+	// kids maps each visited source to its visited children.
+	kids map[string][]string
+	// byDepth[d] lists the visited sources of depth d, sorted.
+	byDepth [][]string
+}
+
+func newWalk(corpus *fact.Corpus, part *fact.Partition, prior *Prior, delta []kb.Triple) *walk {
+	w := &walk{kids: make(map[string][]string)}
+	if prior != nil && prior.part != nil && prior.part == part && prior.facts <= part.Len() {
+		w.base = prior
+		for _, e := range corpus.Facts[prior.facts:part.Len()] {
+			if src := part.Source(e.URL); src != "" {
+				w.visit(src)
+			}
+		}
+		for _, t := range delta {
+			w.locate(t, prior.roots)
+		}
+	} else {
+		for src := range part.Leaves {
+			w.visit(src)
+		}
+	}
+	for src := range w.kids {
+		d := source.Depth(src)
+		for len(w.byDepth) <= d {
+			w.byDepth = append(w.byDepth, nil)
+		}
+		w.byDepth[d] = append(w.byDepth[d], src)
+	}
+	for _, b := range w.byDepth {
+		slices.Sort(b)
+	}
+	return w
+}
+
+// visit adds src and its ancestors to the walk.
+func (w *walk) visit(src string) {
+	if _, ok := w.kids[src]; ok {
+		return
+	}
+	w.kids[src] = nil
+	for {
+		parent, ok := source.Parent(src)
+		if !ok {
+			return
+		}
+		ks, seen := w.kids[parent]
+		w.kids[parent] = append(ks, src)
+		if seen {
+			return
+		}
+		src = parent
+	}
+}
+
+// locate visits every prior source among srcs and their descendants
+// whose table holds t. A parent's table holds every cell of each
+// child's, so the search descends only below a table that matched.
+func (w *walk) locate(t kb.Triple, srcs []string) {
+	for _, src := range srcs {
+		if st := w.base.sources.get(src); st.table.ContainsFact(t) {
+			w.visit(src)
+			w.locate(t, st.children)
+		}
+	}
+}
+
+// baseState returns src's state in the prior run an incremental walk
+// extends (nil for a full walk or a new source).
+func (w *walk) baseState(src string) *sourceState {
+	if w.base == nil {
+		return nil
+	}
+	return w.base.sources.get(src)
+}
+
+// children lists src's children, sorted: its visited children plus,
+// in an incremental walk, the prior run's — the order a full walk
+// completes them in.
+func (w *walk) children(src string) []string {
+	ks := w.kids[src]
+	if st := w.baseState(src); st != nil && len(st.children) > 0 {
+		if len(ks) == 0 {
+			return st.children // shared with the prior run: never sorted in place
+		}
+		ks = append(slices.Clip(st.children), ks...)
+	}
+	slices.Sort(ks)
+	return slices.Compact(ks)
 }
 
 // Run executes the framework over an extraction corpus against an
@@ -316,40 +501,46 @@ func RunContext(ctx context.Context, corpus *fact.Corpus, existing *kb.KB, opts 
 		member = existing.Frozen()
 	}
 
-	// Group facts by normalized leaf source, fingerprinting each
-	// source's triple sequence: the corpus is append-only, so an
+	// Partition the corpus by normalized leaf source, fingerprinting
+	// each source's triple sequence: the corpus is append-only, so an
 	// unchanged source reproduces its prior fingerprint and is a reuse
-	// candidate.
-	bySource := fact.LeafSources(corpus)
+	// candidate. A caller-held partition is already extended.
+	part := opts.Partition
+	if part == nil {
+		part = fact.NewPartition()
+		part.Extend(corpus)
+	}
+	w := newWalk(corpus, part, opts.Prior, opts.Delta)
 
-	pending := make(map[string]*pendingEntry)
-	maxDepth := 0
-	for src, ls := range bySource {
-		pending[src] = &pendingEntry{triples: ls.Triples}
-		if d := source.Depth(src); d > maxDepth {
-			maxDepth = d
-		}
-	}
-	// leafFP is 0 for sources that exist only as parents of deeper
-	// sources (LeafSource fingerprints start at the non-zero FNV seed).
-	leafFP := func(src string) uint64 {
-		if ls := bySource[src]; ls != nil {
-			return ls.FP
-		}
-		return 0
-	}
 	var epochNow uint64
 	if existing != nil {
 		epochNow = existing.Epoch()
 	}
-	next := &Prior{Epoch: epochNow, sources: make(map[string]*sourceState)}
+	keep := !opts.OmitNextPrior
+	next := &Prior{Epoch: epochNow, part: opts.Partition, facts: part.Len()}
+	var levels []levelTally
+	switch {
+	case w.base != nil:
+		next.sources = w.base.sources.derive()
+		next.roots = w.base.roots
+		levels = slices.Clone(w.base.levels)
+	case keep:
+		next.sources = stateMap{over: make(map[string]*sourceState, len(w.kids))}
+	}
+	for len(levels) < len(w.byDepth) {
+		levels = append(levels, levelTally{})
+	}
+	// finished holds the visited sources completed in earlier rounds,
+	// for their parents to collect; without a next prior to build, a
+	// parent's collection is their last use.
+	finished := make(map[string]done, len(w.kids))
 
 	out := &Output{}
 	var final []scored
 
 	reg.Counter("framework/runs").Inc()
 	reg.Counter("framework/corpus_facts").Add(int64(len(corpus.Facts)))
-	reg.Counter("framework/leaf_sources").Add(int64(len(bySource)))
+	reg.Counter("framework/leaf_sources").Add(int64(len(part.Leaves)))
 
 	finish := func(err error) (*Output, error) {
 		sort.SliceStable(final, func(i, j int) bool {
@@ -375,26 +566,34 @@ func RunContext(ctx context.Context, corpus *fact.Corpus, existing *kb.KB, opts 
 		return out, err
 	}
 
-	for d := maxDepth; d >= 1; d-- {
+	var newRoots []string
+	for d := len(levels) - 1; d >= 1; d-- {
 		if err := ctx.Err(); err != nil {
 			return finish(err)
 		}
-		// Shard: collect the sources whose depth is d; every deeper
-		// descendant has already been folded into them.
-		batch := make([]string, 0)
-		for src := range pending {
-			if source.Depth(src) == d {
-				batch = append(batch, src)
+		// Shard: the visited sources whose depth is d; every deeper
+		// descendant has already completed. A source the walk does not
+		// visit counts as reused.
+		var batch []string
+		if d < len(w.byDepth) {
+			batch = w.byDepth[d]
+		}
+		for _, src := range batch {
+			if w.baseState(src) == nil {
+				levels[d].sources++
+				if d == 1 {
+					newRoots = append(newRoots, src)
+				}
 			}
 		}
-		if len(batch) == 0 {
+		total := levels[d].sources
+		if total == 0 {
 			continue
 		}
-		sort.Strings(batch)
 		out.Rounds++
 		roundStart := time.Now()
 		roundCtx, roundSpan := obs.StartSpan(ctx, fmt.Sprintf("framework/depth%02d", d))
-		roundSpan.Arg("depth", strconv.Itoa(d)).Arg("sources", strconv.Itoa(len(batch)))
+		roundSpan.Arg("depth", strconv.Itoa(d)).Arg("sources", strconv.Itoa(total))
 
 		// Detect + consolidate each dirty shard on the worker pool;
 		// fully-reusable shards are answered inline from the prior run
@@ -403,24 +602,33 @@ func RunContext(ctx context.Context, corpus *fact.Corpus, existing *kb.KB, opts 
 		// wall time across workers; against the round's wall clock it
 		// yields the pool's utilization (1.0 = every worker busy the
 		// whole round; low values flag skew from one oversized shard).
-		results := make([]*item, len(batch))
+		entries := make([]pendingEntry, len(batch))
+		results := make([]done, len(batch))
 		type shard struct {
 			i    int
 			plan reusePlan
 		}
 		var dirty []shard
-		reused := 0
 		for i, src := range batch {
-			plan := planReuse(opts.Prior, src, pending[src], leafFP(src), opts.Delta)
-			if plan.full {
-				results[i] = &item{
-					src:           src,
-					table:         plan.state.table,
-					surviving:     plan.state.surviving,
-					tableReused:   true,
-					survivingSame: true,
+			pe := &entries[i]
+			if ls := part.Leaves[src]; ls != nil {
+				pe.triples, pe.leafFP = ls.Triples, ls.FP
+			}
+			pe.names = w.children(src)
+			pe.children = make([]done, len(pe.names))
+			for j, c := range pe.names {
+				if f, ok := finished[c]; ok {
+					pe.children[j] = f
+					if !keep {
+						delete(finished, c)
+					}
+				} else {
+					pe.children[j] = done{state: w.base.sources.get(c), tableReused: true, survivingSame: true}
 				}
-				reused++
+			}
+			plan := planReuse(opts.Prior, src, pe, pe.leafFP, opts.Delta)
+			if plan.full {
+				results[i] = done{state: plan.state, tableReused: true, survivingSame: true}
 				continue
 			}
 			dirty = append(dirty, shard{i, plan})
@@ -444,8 +652,8 @@ func RunContext(ctx context.Context, corpus *fact.Corpus, existing *kb.KB, opts 
 					pool.Acquire()
 					shardStart := time.Now()
 					srcCtx, srcSpan := obs.StartSpan(roundCtx, src)
-					results[i] = processSource(srcCtx, src, d, pending[src], dirty[k].plan, corpus.Space, member, detect, cost, reg)
-					srcSpan.Arg("surviving", strconv.Itoa(len(results[i].surviving))).End()
+					results[i] = processSource(srcCtx, src, d, &entries[i], dirty[k].plan, corpus.Space, member, detect, cost, reg)
+					srcSpan.Arg("surviving", strconv.Itoa(len(results[i].state.surviving))).End()
 					elapsed := time.Since(shardStart)
 					shardTimer.Observe(elapsed)
 					busyNs.Add(int64(elapsed))
@@ -454,19 +662,31 @@ func RunContext(ctx context.Context, corpus *fact.Corpus, existing *kb.KB, opts 
 			}()
 		}
 		wg.Wait()
+		processed := len(dirty)
+		reused := total - processed
 		roundSpan.Arg("reused", strconv.Itoa(reused)).End()
-		processed := len(batch) - reused
 		out.SourcesProcessed += processed
 		out.SourcesReused += reused
 
-		surviving := 0
-		for _, it := range results {
-			surviving += len(it.surviving)
+		// Record every visited source for its parent and the next run,
+		// moving the depth's slice tally from its prior state to its
+		// new one.
+		for i, src := range batch {
+			r := results[i]
+			finished[src] = r
+			if keep {
+				next.sources.put(src, r.state)
+			}
+			if old := w.baseState(src); old != nil {
+				levels[d].slices -= len(old.surviving)
+			}
+			levels[d].slices += len(r.state.surviving)
 		}
+		surviving := levels[d].slices
 		roundWall := time.Since(roundStart)
 		out.Levels = append(out.Levels, LevelStat{
 			Depth:   d,
-			Sources: len(batch),
+			Sources: total,
 			Slices:  surviving,
 			Reused:  reused,
 			Seconds: roundWall.Seconds(),
@@ -476,8 +696,8 @@ func RunContext(ctx context.Context, corpus *fact.Corpus, existing *kb.KB, opts 
 		reg.Counter("framework/sources_reused").Add(int64(reused))
 		reg.Timer("framework/round").Observe(roundWall)
 		reg.TimerVec("framework/depth", "depth").With(depthLabel(d)).Observe(roundWall)
-		reg.CounterVec("framework/depth_sources", "depth").With(depthLabel(d)).Add(int64(len(batch)))
-		reg.Histogram("framework/round_sources").Observe(float64(len(batch)))
+		reg.CounterVec("framework/depth_sources", "depth").With(depthLabel(d)).Add(int64(total))
+		reg.Histogram("framework/round_sources").Observe(float64(total))
 		reg.Histogram("framework/round_slices").Observe(float64(surviving))
 		if wall := roundWall.Seconds(); wall > 0 && processed > 0 {
 			workers := opts.workers()
@@ -487,31 +707,27 @@ func RunContext(ctx context.Context, corpus *fact.Corpus, existing *kb.KB, opts 
 			util := busyNs.Load() / int64(workers)
 			reg.Gauge("framework/worker_utilization").Set(float64(util) / 1e9 / wall)
 		}
-
-		// Route surviving slices: to the parent's pending entry, or to
-		// the final output for domain-level sources. Every completed
-		// source — reused or rebuilt — is recorded for the next run.
-		for _, it := range results {
-			delete(pending, it.src)
-			next.sources[it.src] = &sourceState{
-				leafFP:    leafFP(it.src),
-				table:     it.table,
-				surviving: it.surviving,
-			}
-			if parent, ok := source.Parent(it.src); ok {
-				pe := pending[parent]
-				if pe == nil {
-					pe = &pendingEntry{}
-					pending[parent] = pe
-				}
-				pe.children = append(pe.children, it)
-			} else {
-				final = append(final, it.surviving...)
-			}
-		}
 	}
 
-	out.NextPrior = next
+	// The domain-level sources' surviving slices are the output.
+	if len(newRoots) > 0 {
+		next.roots = append(slices.Clone(next.roots), newRoots...)
+		slices.Sort(next.roots)
+	}
+	if len(levels) > 1 {
+		final = make([]scored, 0, levels[1].slices)
+	}
+	for _, r := range next.roots {
+		st := w.baseState(r)
+		if f, ok := finished[r]; ok {
+			st = f.state
+		}
+		final = append(final, st.surviving...)
+	}
+	if keep {
+		next.levels = levels
+		out.NextPrior = next
+	}
 	return finish(nil)
 }
 
@@ -521,7 +737,7 @@ func RunContext(ctx context.Context, corpus *fact.Corpus, existing *kb.KB, opts 
 // reuse plan with a clean table skips the build/merge (re-annotating
 // the newness bits first if absorbed triples touched the table); the
 // detector still runs, because a child's surviving slices changed.
-func processSource(ctx context.Context, src string, depth int, pe *pendingEntry, plan reusePlan, space *kb.Space, existing kb.Membership, detect detectFunc, cost slice.CostModel, reg *obs.Registry) *item {
+func processSource(ctx context.Context, src string, depth int, pe *pendingEntry, plan reusePlan, space *kb.Space, existing kb.Membership, detect detectFunc, cost slice.CostModel, reg *obs.Registry) done {
 	// Assemble the fact table at this granularity.
 	_, tableSpan := obs.StartSpan(ctx, "table/build")
 	var table *fact.Table
@@ -547,7 +763,7 @@ func processSource(ctx context.Context, src string, depth int, pe *pendingEntry,
 				tables = append(tables, leaf)
 			}
 			for _, c := range pe.children {
-				tables = append(tables, c.table)
+				tables = append(tables, c.state.table)
 			}
 			table = fact.MergeObs(src, space, tables, reg)
 		}
@@ -563,7 +779,7 @@ func processSource(ctx context.Context, src string, depth int, pe *pendingEntry,
 	var children []scored
 	var seeds []hierarchy.Seed
 	for _, c := range pe.children {
-		for _, s := range c.surviving {
+		for _, s := range c.state.surviving {
 			children = append(children, s)
 			rows := make([]int32, 0, s.sl.Entities.Len())
 			for _, subj := range s.sl.Entities.Values() {
@@ -586,7 +802,10 @@ func processSource(ctx context.Context, src string, depth int, pe *pendingEntry,
 	_, consSpan := obs.StartSpan(ctx, "consolidate")
 	surviving := consolidate(parents, children, depth, cost, existing, reg)
 	consSpan.Arg("surviving", strconv.Itoa(len(surviving))).End()
-	return &item{src: src, table: table, surviving: surviving, tableReused: tableReused}
+	return done{
+		state:       &sourceState{leafFP: pe.leafFP, table: table, surviving: surviving, children: pe.names},
+		tableReused: tableReused,
+	}
 }
 
 // consolidate compares each parent slice against the child slices whose

@@ -287,8 +287,18 @@ func Discover(corpus *Corpus, existing *KB, opts *Options) *Result {
 // context's error.
 func DiscoverContext(ctx context.Context, corpus *Corpus, existing *KB, opts *Options) (*Result, error) {
 	o := opts.orDefault()
-	res, _, err := discover(ctx, corpus, existing, &o, nil, nil)
+	res, _, err := discover(ctx, corpus, existing, &o, nil)
 	return res, err
+}
+
+// incremental is what a Session hands discover: the prior run to reuse
+// (nil for none), the triples the KB gained since it, and the session's
+// partition of its corpus, which the framework gets only when no
+// transform rewrote the corpus.
+type incremental struct {
+	prior *framework.Prior
+	delta []kb.Triple
+	part  *fact.Partition
 }
 
 // discover runs the pipeline, optionally reusing a prior run's
@@ -297,8 +307,9 @@ func DiscoverContext(ctx context.Context, corpus *Corpus, existing *KB, opts *Op
 // framework, so a source only reuses when the facts the framework
 // actually sees are unchanged — a transform whose output shifted (a
 // fused conflict resolved differently, a new bucket boundary) changes
-// the fingerprints and forces a rebuild of the affected sources.
-func discover(ctx context.Context, corpus *Corpus, existing *KB, o *Options, prior *framework.Prior, delta []kb.Triple) (*Result, *framework.Prior, error) {
+// the fingerprints and forces a rebuild of the affected sources. inc is
+// nil for a one-off discovery, which returns no next prior.
+func discover(ctx context.Context, corpus *Corpus, existing *KB, o *Options, inc *incremental) (*Result, *framework.Prior, error) {
 	c := corpus.c
 	if o.MinConfidence > 0 {
 		c = c.FilterConfidence(o.MinConfidence)
@@ -316,13 +327,11 @@ func discover(ctx context.Context, corpus *Corpus, existing *KB, o *Options, pri
 	if existing != nil {
 		store = existing.store
 	}
-	out, runErr := framework.RunContext(ctx, c, store, framework.Options{
+	fo := framework.Options{
 		Cost:    o.Cost,
 		Workers: o.Workers,
 		Obs:     o.Metrics.registry(),
 		Trace:   o.Trace.tracer(),
-		Prior:   prior,
-		Delta:   delta,
 		Detect:  o.Detect,
 		Core: core.Options{
 			Cost:              o.Cost,
@@ -331,7 +340,15 @@ func discover(ctx context.Context, corpus *Corpus, existing *KB, o *Options, pri
 			MaxInitCombos:     o.MaxInitCombos,
 			Obs:               o.Metrics.registry(),
 		},
-	})
+		OmitNextPrior: inc == nil,
+	}
+	if inc != nil {
+		fo.Prior, fo.Delta = inc.prior, inc.delta
+		if c == corpus.c {
+			fo.Partition = inc.part
+		}
+	}
+	out, runErr := framework.RunContext(ctx, c, store, fo)
 	keep := make([]bool, len(out.Slices))
 	if o.MaxSlices > 0 && o.MaxSlices < len(out.Slices) {
 		cost := o.Cost

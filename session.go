@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 
+	"midas/internal/dict"
 	"midas/internal/fact"
 	"midas/internal/framework"
 	"midas/internal/idset"
@@ -34,32 +35,34 @@ import (
 //	}
 //
 // Session is safe for concurrent use: an RWMutex guards the core, with
-// Discover/DiscoverContext running as readers (so independent
-// discoveries overlap) and the mutators (AddFacts, Absorb) plus the
-// methods that lazily rebuild indexes (Progress) serializing as
-// writers. Mutating the KB returned by KB() directly, concurrently with
-// a discovery, is not synchronized — route KB growth through Absorb or
-// quiesce discoveries first.
+// Discover/DiscoverContext, Progress and the other readers running
+// under the read lock (so independent discoveries overlap) and the
+// mutators (AddFacts, Absorb) serializing as writers. Mutating the KB
+// returned by KB() directly, concurrently with a discovery, is not
+// synchronized — route KB growth through Absorb or quiesce discoveries
+// first.
+//
+// Lock order: mu, then corpusMu or pmu (never both at once), then the
+// KB's own lock, which every KB call takes inside.
 type Session struct {
 	mu     sync.RWMutex
 	kb     *KB
 	corpus *Corpus
 	opts   Options
 
-	// bySubject indexes corpus facts for Absorb; rebuilt lazily after
-	// AddFacts.
-	bySubject map[string][]sessionFact
-	dirty     bool
-
-	// fpMu guards the incremental fingerprint state below. It is
-	// separate from mu so Fingerprint can run under the read lock
-	// (concurrently with discoveries) while still advancing the cache.
-	fpMu sync.Mutex
+	// corpusMu guards the state derived from the append-only corpus:
+	// the running fingerprint and the index below. Both are extended
+	// lazily by the reader that next needs them, never by AddFacts, so
+	// corpusMu serializes that advance between concurrent readers. A
+	// corpus only grows under mu's write lock, so once a reader has
+	// extended the state it stays current while the reader holds mu.
+	corpusMu sync.Mutex
 	// factFP is the running FNV-1a fingerprint over the first fpFacts
 	// corpus facts; Fingerprint extends it incrementally as the
 	// append-only corpus grows.
 	factFP  uint64
 	fpFacts int
+	idx     corpusIndex
 
 	// pmu guards the incremental-discovery state: the prior completed
 	// run and the KB delta accumulated since it. mu's writers mutate
@@ -84,9 +87,34 @@ type Session struct {
 	dirtySrcs map[string]struct{}
 }
 
-type sessionFact struct {
-	f   Fact
-	src string
+// corpusIndex is the session's view of its corpus, extended over the
+// first n facts (see Session.syncLocked).
+type corpusIndex struct {
+	n int
+	// part partitions the corpus by normalized source; discoveries over
+	// the untransformed corpus hand it to the framework.
+	part *fact.Partition
+	// postings lists each subject's corpus facts by index, for Absorb.
+	postings map[dict.ID][]int32
+	// triples holds the distinct corpus triples; covered counts those
+	// the KB holds, valid while the KB's epoch is covEpoch.
+	triples  map[kb.Triple]struct{}
+	covered  int
+	covEpoch uint64
+}
+
+func newSession(k *KB, c *Corpus, opts *Options) *Session {
+	return &Session{
+		kb:     k,
+		corpus: c,
+		opts:   opts.orDefault(),
+		factFP: idset.FingerprintSeed,
+		idx: corpusIndex{
+			part:     fact.NewPartition(),
+			postings: make(map[dict.ID][]int32),
+			triples:  make(map[kb.Triple]struct{}),
+		},
+	}
 }
 
 // NewSession starts a session against an existing KB (nil = build a
@@ -95,12 +123,7 @@ func NewSession(existing *KB, opts *Options) *Session {
 	if existing == nil {
 		existing = NewKB()
 	}
-	return &Session{
-		kb:     existing,
-		corpus: NewCorpus(existing),
-		opts:   opts.orDefault(),
-		factFP: idset.FingerprintSeed,
-	}
+	return newSession(existing, NewCorpus(existing), opts)
 }
 
 // KB returns the session's knowledge base (it grows as slices are
@@ -127,13 +150,13 @@ func (s *Session) CorpusSize() int {
 // AddFacts appends extraction output to the session corpus. Only the
 // touched sources become dirty: the next Discover rebuilds their
 // tables and re-detects there, reusing the previous run's results for
-// every clean source.
+// every clean source. AddFacts only appends; the state derived from
+// the corpus is extended by the next call that reads it.
 func (s *Session) AddFacts(facts ...Fact) {
 	s.mu.Lock()
 	for _, f := range facts {
 		s.corpus.Add(f)
 	}
-	s.dirty = s.dirty || len(facts) > 0
 	if len(facts) > 0 {
 		s.pmu.Lock()
 		if s.dirtySrcs == nil {
@@ -162,15 +185,14 @@ func (s *Session) AddFacts(facts ...Fact) {
 func (s *Session) Fingerprint() uint64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	s.corpusMu.Lock()
+	defer s.corpusMu.Unlock()
 	return s.fingerprintLocked()
 }
 
-// fingerprintLocked computes the fingerprint under mu (read or write);
-// fpMu serializes the incremental corpus-hash advance between
-// concurrent readers.
+// fingerprintLocked computes the fingerprint under mu (read or write)
+// and corpusMu.
 func (s *Session) fingerprintLocked() uint64 {
-	s.fpMu.Lock()
-	defer s.fpMu.Unlock()
 	facts := s.corpus.c.Facts
 	for _, e := range facts[s.fpFacts:] {
 		s.factFP = idset.AppendFingerprint64(s.factFP, []uint64{
@@ -186,6 +208,41 @@ func (s *Session) fingerprintLocked() uint64 {
 	})
 }
 
+// syncLocked brings the corpus index up to date under mu (read or
+// write) and corpusMu: it first recounts coverage if the KB moved
+// outside Absorb since the count was taken — the rule usablePrior
+// applies to the delta trail — and then folds in the facts added since
+// the last call, which is O(new facts). With nothing new and the count
+// current it writes nothing.
+func (s *Session) syncLocked() {
+	x := &s.idx
+	if epoch := s.kb.store.Epoch(); epoch != x.covEpoch {
+		x.covered = 0
+		for t := range x.triples {
+			if s.kb.store.Contains(t) {
+				x.covered++
+			}
+		}
+		x.covEpoch = epoch
+	}
+	c := s.corpus.c
+	if len(c.Facts) == x.n {
+		return
+	}
+	x.part.Extend(c)
+	for i, e := range c.Facts[x.n:] {
+		t := e.Triple
+		x.postings[t.S] = append(x.postings[t.S], int32(x.n+i))
+		if _, ok := x.triples[t]; !ok {
+			x.triples[t] = struct{}{}
+			if s.kb.store.Contains(t) {
+				x.covered++
+			}
+		}
+	}
+	x.n = len(c.Facts)
+}
+
 // SourceFingerprints returns the per-source FNV-1a fingerprints of the
 // session corpus, keyed by normalized source URL — the signal the
 // incremental path compares across runs to decide which sources are
@@ -193,8 +250,11 @@ func (s *Session) fingerprintLocked() uint64 {
 func (s *Session) SourceFingerprints() map[string]uint64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make(map[string]uint64)
-	for src, ls := range fact.LeafSources(s.corpus.c) {
+	s.corpusMu.Lock()
+	defer s.corpusMu.Unlock()
+	s.syncLocked()
+	out := make(map[string]uint64, len(s.idx.part.Leaves))
+	for src, ls := range s.idx.part.Leaves {
 		out[src] = ls.FP
 	}
 	return out
@@ -263,18 +323,21 @@ func (s *Session) Discover() *Result {
 // AddFacts and Absorb wait for in-flight discoveries to finish.
 //
 // Discoveries are incremental: each completed run keeps its per-source
-// fact tables and detection results, and the next run reuses them for
-// every source whose facts are unchanged and whose newness the KB
-// growth since then cannot have touched — doing detection work
+// fact tables and detection results, and the next run visits only the
+// sources whose facts changed or whose tables hold a triple absorbed
+// since, plus their ancestors, reusing everything else — work
 // proportional to the delta, with a result identical to a from-scratch
 // run. Result.SourcesReused reports how much was skipped.
 func (s *Session) DiscoverContext(ctx context.Context) (*Result, error) {
 	reg := s.metrics()
 	defer reg.Timer("session/discover").Start()()
 	s.mu.RLock()
+	s.corpusMu.Lock()
 	fp := s.fingerprintLocked()
+	s.syncLocked()
+	s.corpusMu.Unlock()
 	prior, delta := s.usablePrior()
-	res, next, err := discover(ctx, s.corpus, s.kb, &s.opts, prior, delta)
+	res, next, err := discover(ctx, s.corpus, s.kb, &s.opts, &incremental{prior, delta, s.idx.part})
 	res.Fingerprint = fp
 	if err == nil && next != nil {
 		s.storePrior(next)
@@ -309,26 +372,38 @@ func (s *Session) Absorb(sl Slice) int {
 		s.deltaBroken = true
 	}
 	s.pmu.Unlock()
-	s.reindex()
-	members := make(map[string]bool, len(sl.Entities))
-	for _, e := range sl.Entities {
-		members[e] = true
-	}
+	s.corpusMu.Lock()
+	s.syncLocked()
+	// The corpus shares the KB's space, so an entity string resolves to
+	// the subject ID its postings are keyed by; one never interned has
+	// no corpus facts.
+	subjects := s.kb.store.Space().Subjects
+	facts := s.corpus.c.Facts
+	under := sl.Source + "/"
+	seen := make(map[dict.ID]struct{}, len(sl.Entities))
 	added := 0
 	var addedTriples []kb.Triple
-	space := s.kb.store.Space()
-	for e := range members {
-		for _, sf := range s.bySubject[e] {
-			if sf.src != sl.Source && !strings.HasPrefix(sf.src, sl.Source+"/") {
+	for _, e := range sl.Entities {
+		id := subjects.Lookup(e)
+		if _, dup := seen[id]; dup || id == dict.None {
+			continue
+		}
+		seen[id] = struct{}{}
+		for _, i := range s.idx.postings[id] {
+			f := facts[i]
+			if src := s.idx.part.Source(f.URL); src != sl.Source && !strings.HasPrefix(src, under) {
 				continue
 			}
-			t := space.Intern(sf.f.Subject, sf.f.Predicate, sf.f.Object)
-			if s.kb.store.Add(t) {
+			if s.kb.store.Add(f.Triple) {
 				added++
-				addedTriples = append(addedTriples, t)
+				addedTriples = append(addedTriples, f.Triple)
 			}
 		}
 	}
+	// Every triple added is a corpus triple the KB did not hold.
+	s.idx.covered += added
+	s.idx.covEpoch = s.kb.store.Epoch()
+	s.corpusMu.Unlock()
 	s.pmu.Lock()
 	if s.prior != nil && !s.deltaBroken {
 		s.delta = append(s.delta, addedTriples...)
@@ -346,32 +421,16 @@ func (s *Session) Absorb(sl Slice) int {
 }
 
 // Progress reports the augmentation state: KB size and how much of the
-// corpus the KB now covers (deduplicated fact-level coverage).
+// corpus the KB now covers (deduplicated fact-level coverage). It reads
+// counters the session keeps current, so it costs O(facts added since
+// the last call) unless the KB was written outside Absorb.
 func (s *Session) Progress() (kbFacts int, corpusCovered float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.reindex()
-	type key struct{ s, p, o string }
-	seen := make(map[key]bool)
-	covered, total := 0, 0
-	subjects := make([]string, 0, len(s.bySubject))
-	for subj := range s.bySubject {
-		subjects = append(subjects, subj)
-	}
-	sort.Strings(subjects)
-	for _, subj := range subjects {
-		for _, sf := range s.bySubject[subj] {
-			k := key{sf.f.Subject, sf.f.Predicate, sf.f.Object}
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-			total++
-			if s.kb.Contains(sf.f.Subject, sf.f.Predicate, sf.f.Object) {
-				covered++
-			}
-		}
-	}
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	s.corpusMu.Lock()
+	s.syncLocked()
+	covered, total := s.idx.covered, len(s.idx.triples)
+	s.corpusMu.Unlock()
 	if total > 0 {
 		corpusCovered = float64(covered) / float64(total)
 	}
@@ -379,24 +438,4 @@ func (s *Session) Progress() (kbFacts int, corpusCovered float64) {
 	reg.Gauge("session/kb_facts").Set(float64(s.kb.Size()))
 	reg.Gauge("session/corpus_coverage").Set(corpusCovered)
 	return s.kb.Size(), corpusCovered
-}
-
-func (s *Session) reindex() {
-	if !s.dirty && s.bySubject != nil {
-		return
-	}
-	s.bySubject = make(map[string][]sessionFact)
-	for _, e := range s.corpus.c.Facts {
-		subj, pred, obj := s.corpus.c.Space.StringTriple(e.Triple)
-		f := Fact{
-			Subject: subj, Predicate: pred, Object: obj,
-			Confidence: float64(e.Conf),
-			URL:        s.corpus.c.URLs.String(e.URL),
-		}
-		s.bySubject[subj] = append(s.bySubject[subj], sessionFact{
-			f:   f,
-			src: source.Normalize(f.URL),
-		})
-	}
-	s.dirty = false
 }

@@ -26,13 +26,39 @@ func sessionCorpusFacts() []midas.Fact {
 }
 
 // TestSessionAugmentationLoop: absorbing the top slice each round makes
-// the recommendations move on and eventually dry up.
+// the recommendations move on and eventually dry up. Progress, which
+// the session answers from running counters, must equal a from-scratch
+// count after every kind of mutation.
 func TestSessionAugmentationLoop(t *testing.T) {
 	sess := midas.NewSession(nil, nil)
-	sess.AddFacts(sessionCorpusFacts()...)
+	facts := sessionCorpusFacts()
+	sess.AddFacts(facts...)
 	if sess.CorpusSize() != 150 {
 		t.Fatalf("corpus = %d", sess.CorpusSize())
 	}
+	// checkProgress compares Progress with a count over the distinct
+	// string triples of every fact added so far.
+	checkProgress := func(label string) {
+		t.Helper()
+		distinct := make(map[[3]string]bool)
+		covered := 0
+		for _, f := range facts {
+			k := [3]string{f.Subject, f.Predicate, f.Object}
+			if distinct[k] {
+				continue
+			}
+			distinct[k] = true
+			if sess.KB().Contains(f.Subject, f.Predicate, f.Object) {
+				covered++
+			}
+		}
+		kbFacts, got := sess.Progress()
+		want := float64(covered) / float64(len(distinct))
+		if kbFacts != sess.KB().Size() || got != want {
+			t.Errorf("%s: Progress = (%d, %v), want (%d, %v)", label, kbFacts, got, sess.KB().Size(), want)
+		}
+	}
+	checkProgress("loaded")
 
 	seen := make(map[string]bool)
 	rounds := 0
@@ -49,6 +75,7 @@ func TestSessionAugmentationLoop(t *testing.T) {
 		if added := sess.Absorb(top); added == 0 {
 			t.Fatalf("absorb added nothing for %q", top.Description)
 		}
+		checkProgress(fmt.Sprintf("round %d", rounds))
 	}
 	if rounds != 3 {
 		t.Errorf("loop ran %d rounds, want 3 (one per vertical)", rounds)
@@ -60,6 +87,23 @@ func TestSessionAugmentationLoop(t *testing.T) {
 	if covered != 1.0 {
 		t.Errorf("coverage = %.3f, want 1.0", covered)
 	}
+
+	// New facts, one of them a duplicate of a known triple on another
+	// page, then KB writes outside Absorb: one of a corpus triple, one
+	// of a triple the corpus lacks.
+	more := []midas.Fact{
+		{Subject: "late entity", Predicate: "kind", Object: "type9", Confidence: 0.9, URL: "http://late.example.com/a.htm"},
+		{Subject: "late entity", Predicate: "id", Object: "id-late", Confidence: 0.9, URL: "http://late.example.com/a.htm"},
+		{Subject: "late entity", Predicate: "kind", Object: "type9", Confidence: 0.9, URL: "http://late.example.com/b.htm"},
+		{Subject: "v0 entity 0", Predicate: "kind", Object: "type0", Confidence: 0.9, URL: "http://late.example.com/c.htm"},
+	}
+	sess.AddFacts(more...)
+	facts = append(facts, more...)
+	checkProgress("facts added")
+	sess.KB().Add("late entity", "kind", "type9")
+	checkProgress("untracked corpus triple")
+	sess.KB().Add("outside", "the", "corpus")
+	checkProgress("untracked foreign triple")
 }
 
 // TestSessionAbsorbScopedToSource: absorbing a slice must not import

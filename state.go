@@ -7,7 +7,6 @@ import (
 	"midas/internal/binio"
 	"midas/internal/dict"
 	"midas/internal/fact"
-	"midas/internal/idset"
 	"midas/internal/kb"
 )
 
@@ -98,13 +97,7 @@ func ReadState(r io.Reader, opts *Options) (*Session, error) {
 		return nil, err
 	}
 	store.RestoreEpoch(epoch)
-	return &Session{
-		kb:     &KB{store: store},
-		corpus: &Corpus{c: corpus},
-		opts:   opts.orDefault(),
-		factFP: idset.FingerprintSeed,
-		dirty:  true,
-	}, nil
+	return newSession(&KB{store: store}, &Corpus{c: corpus}, opts), nil
 }
 
 // KBEpoch returns the session KB's mutation epoch — the counter the
