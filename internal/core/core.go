@@ -102,13 +102,29 @@ func DiscoverSeeded(table *fact.Table, seeds []hierarchy.Seed, opts Options) *Re
 // DiscoverSeededContext is DiscoverSeeded with span tracing: when ctx
 // carries a span (the framework's per-source shard span), hierarchy
 // construction and the top-down traversal each record a child span.
+//
+// A source whose table cannot yield a profitable slice skips both
+// steps (see unprofitable): the result is empty, the skip counts in
+// core/sources_bounded, and the current span of ctx gets bounded=1.
 func DiscoverSeededContext(ctx context.Context, table *fact.Table, seeds []hierarchy.Seed, opts Options) *Result {
+	return discover(ctx, table, seeds, opts, true)
+}
+
+// discover runs MIDASalg; bound enables the source-level profit bound,
+// which only tests turn off, to check that it is exact.
+func discover(ctx context.Context, table *fact.Table, seeds []hierarchy.Seed, opts Options, bound bool) *Result {
 	reg := opts.Obs.OrDefault()
+	cost := opts.cost()
+	if bound && !opts.DisableProfitPrune && unprofitable(table, cost) {
+		reg.Counter("core/sources_bounded").Inc()
+		obs.SpanFromContext(ctx).Arg("bounded", "1")
+		return &Result{Hierarchy: &hierarchy.Hierarchy{Levels: make([][]*hierarchy.Node, 1)}}
+	}
 	start := time.Now()
 	_, buildSpan := obs.StartSpan(ctx, "hierarchy/build")
 	b := &hierarchy.Builder{
 		Table:                 table,
-		Cost:                  opts.cost(),
+		Cost:                  cost,
 		MaxPropsPerEntity:     opts.MaxPropsPerEntity,
 		MaxInitCombos:         opts.MaxInitCombos,
 		DisableCanonicalPrune: opts.DisableCanonicalPrune,
@@ -141,7 +157,6 @@ func DiscoverSeededContext(ctx context.Context, table *fact.Table, seeds []hiera
 	}
 
 	entFacts, entNew := b.EntityStats()
-	cost := opts.cost()
 	// Entity indexes are dense table rows, so coverage is a flat bitmap
 	// rather than a hash set.
 	covered := make([]bool, len(table.Entities))
@@ -189,6 +204,26 @@ func DiscoverSeededContext(ctx context.Context, table *fact.Table, seeds []hiera
 		}
 	}
 	return res
+}
+
+// unprofitable reports that the traversal below cannot select any slice
+// of table, so the hierarchy need not be built. The traversal selects
+// its first slice only if
+//
+//	dNew·(1−f_v) − f_p − f_d·dFacts − f_c·|T_W| > 0
+//
+// and every later slice needs a first one. With dNew ≤ TotalNew,
+// f_v ≤ 1, f_d ≥ 0 and f_c ≥ 0, that float expression is at most
+// ub = TotalNew·(1−f_v) − f_p − f_c·|T_W| term by term, because IEEE
+// rounding is monotone; so ub ≤ 0 rules every slice out, seeds
+// included. A NaN coefficient fails a guard or makes ub NaN, and never
+// skips.
+func unprofitable(table *fact.Table, c slice.CostModel) bool {
+	if !(c.Fv <= 1 && c.Fd >= 0 && c.Fc >= 0) {
+		return false
+	}
+	ub := float64(table.TotalNew)*(1-c.Fv) - c.Fp - c.Fc*float64(table.TotalFacts)
+	return ub <= 0
 }
 
 func nodeToSlice(table *fact.Table, n *hierarchy.Node) *slice.Slice {

@@ -259,14 +259,19 @@ func buildWith(source string, space *kb.Space, triples []kb.Triple, existing kb.
 		return cmp.Compare(a.p, b.p)
 	})
 	kept := pairs[:0]
+	subjects := 0
 	for _, pr := range pairs {
-		if len(kept) == 0 || kept[len(kept)-1] != pr {
-			kept = append(kept, pr)
+		if len(kept) == 0 || kept[len(kept)-1].s != pr.s {
+			subjects++
+		} else if kept[len(kept)-1].p == pr.p {
+			continue
 		}
+		kept = append(kept, pr)
 	}
 	pairs = kept
 
 	t := &Table{Source: source, Space: space, PropSets: NewPropInterner()}
+	t.Entities = slices.Grow(t.Entities, subjects)
 	// Exact capacity: appends never reallocate, so earlier New views
 	// stay valid.
 	newArena := make([]bool, 0, len(pairs))
@@ -499,14 +504,19 @@ func merge(source string, space *kb.Space, children []*Table) *Table {
 		return cmp.Compare(a.p, b.p)
 	})
 	kept := tuples[:0]
+	subjects := 0
 	for _, tu := range tuples {
-		if len(kept) == 0 || kept[len(kept)-1].s != tu.s || kept[len(kept)-1].p != tu.p {
-			kept = append(kept, tu)
+		if len(kept) == 0 || kept[len(kept)-1].s != tu.s {
+			subjects++
+		} else if kept[len(kept)-1].p == tu.p {
+			continue
 		}
+		kept = append(kept, tu)
 	}
 	tuples = kept
 
 	t := &Table{Source: source, Space: space, PropSets: NewPropInterner()}
+	t.Entities = slices.Grow(t.Entities, subjects)
 	newArena := make([]bool, 0, len(tuples))
 	var scratch []Property
 	for i := 0; i < len(tuples); {
@@ -536,14 +546,4 @@ func merge(source string, space *kb.Space, children []*Table) *Table {
 	}
 	t.computeFingerprint()
 	return t
-}
-
-// GroupBySource partitions a corpus into per-URL triple lists. The keys
-// are URL dictionary IDs; callers resolve them via corpus.URLs.
-func GroupBySource(c *Corpus) map[dict.ID][]kb.Triple {
-	out := make(map[dict.ID][]kb.Triple)
-	for _, e := range c.Facts {
-		out[e.URL] = append(out[e.URL], e.Triple)
-	}
-	return out
 }

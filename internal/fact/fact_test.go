@@ -211,18 +211,3 @@ func TestCorpusConfidenceFilter(t *testing.T) {
 		t.Errorf("URLs = %d, want 2", c.NumURLs())
 	}
 }
-
-func TestGroupBySource(t *testing.T) {
-	c := fact.NewCorpus(nil)
-	c.Add(fact.Fact{Subject: "a", Predicate: "p", Object: "x", Confidence: 1, URL: "u1"})
-	c.Add(fact.Fact{Subject: "b", Predicate: "p", Object: "y", Confidence: 1, URL: "u1"})
-	c.Add(fact.Fact{Subject: "c", Predicate: "p", Object: "z", Confidence: 1, URL: "u2"})
-	groups := fact.GroupBySource(c)
-	if len(groups) != 2 {
-		t.Fatalf("groups = %d, want 2", len(groups))
-	}
-	u1 := c.URLs.Lookup("u1")
-	if len(groups[u1]) != 2 {
-		t.Errorf("u1 group = %d, want 2", len(groups[u1]))
-	}
-}

@@ -34,7 +34,6 @@ package framework
 
 import (
 	"context"
-	"fmt"
 	"maps"
 	"runtime"
 	"slices"
@@ -592,7 +591,7 @@ func RunContext(ctx context.Context, corpus *fact.Corpus, existing *kb.KB, opts 
 		}
 		out.Rounds++
 		roundStart := time.Now()
-		roundCtx, roundSpan := obs.StartSpan(ctx, fmt.Sprintf("framework/depth%02d", d))
+		roundCtx, roundSpan := obs.StartSpan(ctx, "framework/depth"+obs.IndexLabel(d))
 		roundSpan.Arg("depth", strconv.Itoa(d)).Arg("sources", strconv.Itoa(total))
 
 		// Detect + consolidate each dirty shard on the worker pool;
@@ -695,8 +694,8 @@ func RunContext(ctx context.Context, corpus *fact.Corpus, existing *kb.KB, opts 
 		reg.Counter("framework/sources_processed").Add(int64(processed))
 		reg.Counter("framework/sources_reused").Add(int64(reused))
 		reg.Timer("framework/round").Observe(roundWall)
-		reg.TimerVec("framework/depth", "depth").With(depthLabel(d)).Observe(roundWall)
-		reg.CounterVec("framework/depth_sources", "depth").With(depthLabel(d)).Add(int64(total))
+		reg.TimerVec("framework/depth", "depth").With(obs.IndexLabel(d)).Observe(roundWall)
+		reg.CounterVec("framework/depth_sources", "depth").With(obs.IndexLabel(d)).Add(int64(total))
 		reg.Histogram("framework/round_sources").Observe(float64(total))
 		reg.Histogram("framework/round_slices").Observe(float64(surviving))
 		if wall := roundWall.Seconds(); wall > 0 && processed > 0 {
@@ -820,7 +819,7 @@ func processSource(ctx context.Context, src string, depth int, pe *pendingEntry,
 // where in the URL hierarchy consolidation is deciding each way.
 func consolidate(parents, children []scored, depth int, cost slice.CostModel, existing kb.Membership, reg *obs.Registry) []scored {
 	tally := reg.CounterVec("framework/consolidate", "decision", "depth")
-	dl := depthLabel(depth)
+	dl := obs.IndexLabel(depth)
 	if len(children) == 0 {
 		tally.With("parents_kept", dl).Add(int64(len(parents)))
 		return parents
@@ -872,10 +871,6 @@ func consolidate(parents, children []scored, depth int, cost slice.CostModel, ex
 	tally.With("children_dropped", dl).Add(childrenDropped)
 	return surviving
 }
-
-// depthLabel renders a hierarchy depth as a fixed-width label value so
-// lexical series order matches numeric depth order.
-func depthLabel(d int) string { return fmt.Sprintf("%02d", d) }
 
 // childSetProfit computes f over the indexed child slices, with exact
 // fact-union statistics and the crawl term charged once per distinct

@@ -25,7 +25,6 @@
 package hierarchy
 
 import (
-	"fmt"
 	"slices"
 	"sort"
 	"time"
@@ -210,8 +209,11 @@ func (b *Builder) Build(extra []Seed) *Hierarchy {
 
 	reg := b.Obs.OrDefault()
 	h := &Hierarchy{}
-	// levels[l] maps an interned property-set ID to its node.
-	levels := make([]map[idset.SetID]*Node, 1, 8)
+	// byID[id] is the live node over interned property set id (interner
+	// IDs are dense), and levels[l] lists the nodes with l properties in
+	// creation order.
+	var byID []*Node
+	levels := make([][]*Node, 1, 8)
 	// Per-level effort tallies, reported to Obs when the build finishes.
 	var createdByLevel, removedByLevel, invalidByLevel []int64
 	bump := func(tally *[]int64, l int, by int64) {
@@ -221,24 +223,25 @@ func (b *Builder) Build(extra []Seed) *Hierarchy {
 		(*tally)[l] += by
 	}
 
-	getLevel := func(l int) map[idset.SetID]*Node {
-		for len(levels) <= l {
-			levels = append(levels, make(map[idset.SetID]*Node))
-		}
-		return levels[l]
-	}
 	nodeByID := func(id idset.SetID) *Node {
+		for int(id) >= len(byID) {
+			byID = append(byID, nil)
+		}
+		if n := byID[id]; n != nil {
+			return n
+		}
 		// The node keeps the interned arena view of its property set,
 		// not any caller's (possibly scratch) slice.
 		props := b.props.Get(id)
-		m := getLevel(len(props))
-		n, ok := m[id]
-		if !ok {
-			h.Stats.NodesCreated++
-			bump(&createdByLevel, len(props), 1)
-			n = &Node{Props: props, set: id, Valid: true}
-			m[id] = n
+		l := len(props)
+		for len(levels) <= l {
+			levels = append(levels, nil)
 		}
+		h.Stats.NodesCreated++
+		bump(&createdByLevel, l, 1)
+		n := &Node{Props: props, set: id, Valid: true}
+		byID[id] = n
+		levels[l] = append(levels[l], n)
 		return n
 	}
 	getNode := func(props []fact.Property) *Node {
@@ -269,20 +272,25 @@ func (b *Builder) Build(extra []Seed) *Hierarchy {
 	workersGauge := reg.Gauge("hierarchy/level_workers")
 
 	// Finalize the deepest level's entity sets.
-	b.finalizeLevel(collectNodes(levels[maxLevel]))
+	b.finalizeLevel(levels[maxLevel])
 
 	// Bottom-up sweep: levels from finest (most properties) to coarsest.
+	// Level l is complete once level l+1 generated its parents, so it is
+	// sorted once here; that order drives every later step and is the
+	// order of Hierarchy.Levels[l].
+	h.MaxLevel = maxLevel
+	h.Levels = make([][]*Node, maxLevel+1)
 	for l := maxLevel; l >= 1; l-- {
 		levelStart := time.Now()
 		workers := 1
-		cur := sortedNodes(levels[l])
+		cur := sortNodes(levels[l])
 
 		// (1) Construct parents from every node at level l, sharded
 		// across the worker budget, then finalize the entity sets the
 		// new pendings landed on.
 		if l >= 2 {
 			workers = max(workers, b.generateParents(cur, nodeByID))
-			workers = max(workers, b.finalizeLevel(collectNodes(levels[l-1])))
+			workers = max(workers, b.finalizeLevel(levels[l-1]))
 		}
 
 		// (2) Prune non-canonical slices at level l. Sequential: remove
@@ -294,28 +302,24 @@ func (b *Builder) Build(extra []Seed) *Hierarchy {
 				b.remove(n)
 				h.Stats.NodesRemoved++
 				bump(&removedByLevel, l, 1)
-				delete(levels[l], n.set)
+				byID[n.set] = nil
 			}
 		}
+		cur = slices.DeleteFunc(cur, func(n *Node) bool { return n.removed })
 
 		// (3) Evaluate profit and the lower bound; mark low-profit
 		// slices invalid. Children are deeper and immutable by now, so
 		// scoring shards across workers.
-		invalid, scoreWorkers := b.scoreLevel(sortedNodes(levels[l]))
+		invalid, scoreWorkers := b.scoreLevel(cur)
 		workers = max(workers, scoreWorkers)
 		if invalid > 0 {
 			h.Stats.NodesInvalid += int(invalid)
 			bump(&invalidByLevel, l, invalid)
 		}
+		h.Levels[l] = cur
 
-		levelTimer.With(levelLabel(l)).Observe(time.Since(levelStart))
+		levelTimer.With(obs.IndexLabel(l)).Observe(time.Since(levelStart))
 		workersGauge.Set(float64(workers))
-	}
-
-	h.MaxLevel = maxLevel
-	h.Levels = make([][]*Node, maxLevel+1)
-	for l := 1; l <= maxLevel; l++ {
-		h.Levels[l] = sortedNodes(levels[l])
 	}
 	return h
 }
@@ -516,7 +520,7 @@ func (b *Builder) record(st *Stats, created, removed, invalid []int64) {
 		vec := reg.CounterVec(name, "level")
 		for l, n := range tally {
 			if n > 0 {
-				vec.With(levelLabel(l)).Add(n)
+				vec.With(obs.IndexLabel(l)).Add(n)
 			}
 		}
 	}
@@ -524,10 +528,6 @@ func (b *Builder) record(st *Stats, created, removed, invalid []int64) {
 	perLevel("hierarchy/level/pruned_canonicity", removed)
 	perLevel("hierarchy/level/pruned_profit_bound", invalid)
 }
-
-// levelLabel renders a lattice level as a fixed-width label value so
-// lexical series order matches numeric level order.
-func levelLabel(l int) string { return fmt.Sprintf("%02d", l) }
 
 // Seed is an externally supplied initial slice (from a child web source).
 type Seed struct {
@@ -870,23 +870,10 @@ func deleteNode(list []*Node, n *Node) []*Node {
 	return out
 }
 
-// collectNodes lists a level's nodes in map order — used where only the
-// node set matters (finalization), not the order.
-func collectNodes(m map[idset.SetID]*Node) []*Node {
-	out := make([]*Node, 0, len(m))
-	for _, n := range m {
-		out = append(out, n)
-	}
-	return out
-}
-
-// sortedNodes orders a level's nodes by their property sets. All nodes
-// of one level have equally many properties, so elementwise comparison
-// of the packed uint64 properties reproduces the ordering of the
-// big-endian byte keys the levels were once keyed by — node iteration
-// order is unchanged and the build stays deterministic.
-func sortedNodes(m map[idset.SetID]*Node) []*Node {
-	out := collectNodes(m)
-	slices.SortFunc(out, func(a, b *Node) int { return slices.Compare(a.Props, b.Props) })
-	return out
+// sortNodes orders a level's nodes by their property sets, in place.
+// Property sets are unique within a build, so the order is total and
+// the build is deterministic whatever order the nodes were created in.
+func sortNodes(nodes []*Node) []*Node {
+	slices.SortFunc(nodes, func(a, b *Node) int { return slices.Compare(a.Props, b.Props) })
+	return nodes
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -129,12 +130,24 @@ func TestCanonicalMatchesBruteForce(t *testing.T) {
 
 // TestLatticeStructure property: parents have strictly fewer
 // properties, property sets are subsets, and entity sets are supersets.
+// Each level lists only canonical nodes, in ascending property-set
+// order: the order the traversal visits them in.
 func TestLatticeStructure(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		table := randomTable(rng, 2+rng.Intn(8), 2+rng.Intn(4), 3, 0.7, 0.2)
 		b := &hierarchy.Builder{Table: table, Cost: slice.DefaultCostModel()}
 		h := b.Build(nil)
+		for l := 1; l <= h.MaxLevel; l++ {
+			for i, n := range h.Levels[l] {
+				if !n.Canonical || n.Level() != l {
+					return false
+				}
+				if i > 0 && slices.Compare(h.Levels[l][i-1].Props, n.Props) >= 0 {
+					return false
+				}
+			}
+		}
 		for _, n := range h.Nodes() {
 			for _, c := range n.Children {
 				if len(c.Props) <= len(n.Props) {

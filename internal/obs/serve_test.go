@@ -120,9 +120,16 @@ func TestListenAndServe(t *testing.T) {
 
 // TestTraceSpansPerPhase runs the pipeline with a tracer and checks the
 // acceptance bar: at least one span per pipeline phase in the export.
+// It runs under the paper's running-example cost model (f_p = 1), so
+// the small corpus's sources clear the source-level profit bound and
+// build a lattice; one extra single-fact page does not, and its detect
+// span must say so.
 func TestTraceSpansPerPhase(t *testing.T) {
 	tr := obs.NewTracer()
-	framework.Run(smallCorpus(), nil, framework.Options{Workers: 2, Obs: obs.New(), Trace: tr})
+	reg := obs.New()
+	corpus := smallCorpus()
+	corpus.Add(fact.Fact{Subject: "vega", Predicate: "category", Object: "rocket_family", Confidence: 0.9, URL: "http://space.example.org/eu/vega.htm"})
+	framework.Run(corpus, nil, framework.Options{Workers: 2, Obs: reg, Trace: tr, Cost: slice.ExampleCostModel()})
 
 	var buf bytes.Buffer
 	if err := tr.WriteChromeTrace(&buf); err != nil {
@@ -130,16 +137,30 @@ func TestTraceSpansPerPhase(t *testing.T) {
 	}
 	var doc struct {
 		TraceEvents []struct {
-			Name string  `json:"name"`
-			Dur  float64 `json:"dur"`
+			Name string            `json:"name"`
+			Dur  float64           `json:"dur"`
+			Args map[string]string `json:"args"`
 		} `json:"traceEvents"`
 	}
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatalf("trace not valid JSON: %v", err)
 	}
 	seen := map[string]int{}
+	bounded := 0
 	for _, ev := range doc.TraceEvents {
 		seen[ev.Name]++
+		if ev.Name == "detect" && ev.Args["bounded"] == "1" {
+			bounded++
+			if ev.Args["slices"] != "0" {
+				t.Errorf("bounded detect span reports %s slices", ev.Args["slices"])
+			}
+		}
+	}
+	if bounded != 1 {
+		t.Errorf("%d detect spans carry bounded=1, want 1 (the single-fact page)", bounded)
+	}
+	if n := reg.Counter("core/sources_bounded").Value(); n != 1 {
+		t.Errorf("core/sources_bounded = %d, want 1", n)
 	}
 	for _, phase := range []string{"framework/run", "table/build", "detect", "consolidate", "hierarchy/build", "core/traverse"} {
 		if seen[phase] == 0 {

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 )
@@ -8,6 +9,25 @@ import (
 // labelSep joins label values into a series key. 0xFF cannot appear in
 // UTF-8 text, so joined keys are unambiguous.
 const labelSep = "\xff"
+
+// indexLabels holds IndexLabel's answers for 0..99.
+var indexLabels = func() (t [100]string) {
+	for i := range t {
+		t[i] = fmt.Sprintf("%02d", i)
+	}
+	return t
+}()
+
+// IndexLabel renders a small index (a lattice level, a URL depth) as a
+// two-digit label value, so lexical series order matches numeric order
+// up to 99. It is called per build and per consolidation, so the
+// two-digit values come from a table rather than fmt.
+func IndexLabel(i int) string {
+	if i >= 0 && i < len(indexLabels) {
+		return indexLabels[i]
+	}
+	return fmt.Sprintf("%02d", i)
+}
 
 // CounterVec is a family of counters partitioned by a small, fixed set
 // of labels (round, depth, lattice level, decision). Each distinct

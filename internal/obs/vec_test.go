@@ -3,11 +3,22 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
 	"time"
 )
+
+// TestIndexLabel: the table answers exactly as fmt does, inside and
+// outside its range.
+func TestIndexLabel(t *testing.T) {
+	for _, i := range []int{-1, 0, 3, 10, 99, 100, 1234} {
+		if got, want := IndexLabel(i), fmt.Sprintf("%02d", i); got != want {
+			t.Errorf("IndexLabel(%d) = %q, want %q", i, got, want)
+		}
+	}
+}
 
 func TestCounterVecBasics(t *testing.T) {
 	r := New()
