@@ -270,7 +270,7 @@ func runSeed(cfg config, seed int64) *report {
 	h.startServer()
 
 	// A sentinel session no worker touches: never discovered before the
-	// drain, so its result cache is empty and checkDrain's probe must
+	// drain, so it holds no memoized result and checkDrain's probe must
 	// reach the drain gate rather than a cache hit or a 404.
 	if code, err := h.doJSON(h.hc, "POST", "/api/sessions",
 		strings.NewReader(`{"name":"drain-probe"}`), "application/json", nil); err != nil || code != http.StatusCreated {

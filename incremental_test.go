@@ -286,23 +286,16 @@ func TestFingerprintAbsorbEpoch(t *testing.T) {
 	}
 }
 
-// TestDirtySourceTracking covers the advisory mutation signals:
-// DirtySources accumulates touched sources and clears on a completed
-// discovery; SourceFingerprints moves only for touched sources.
-func TestDirtySourceTracking(t *testing.T) {
+// TestSourceFingerprintTracking: SourceFingerprints moves only for the
+// sources AddFacts touched.
+func TestSourceFingerprintTracking(t *testing.T) {
 	sess := midas.NewSession(nil, nil)
 	sess.AddFacts(sessionCorpusFacts()...)
-	if len(sess.DirtySources()) == 0 {
-		t.Fatal("AddFacts must dirty its sources")
-	}
 	before := sess.SourceFingerprints()
 	if len(before) == 0 {
 		t.Fatal("no source fingerprints")
 	}
 	sess.Discover()
-	if ds := sess.DirtySources(); len(ds) != 0 {
-		t.Fatalf("completed discovery must clear dirty sources, got %v", ds)
-	}
 
 	touched := midas.Fact{
 		Subject: "fresh entity", Predicate: "kind", Object: "fresh kind",
@@ -310,10 +303,6 @@ func TestDirtySourceTracking(t *testing.T) {
 	}
 	sess.AddFacts(touched)
 	want := source.Normalize(touched.URL)
-	ds := sess.DirtySources()
-	if len(ds) != 1 || ds[0] != want {
-		t.Fatalf("dirty sources %v, want [%s]", ds, want)
-	}
 	after := sess.SourceFingerprints()
 	changed := 0
 	for src, fp := range before {

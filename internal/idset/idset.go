@@ -169,15 +169,15 @@ func Equal[E Elem](a, b []E) bool {
 	return true
 }
 
-// FNV-1a 64-bit parameters.
+// The FNV-1a 64-bit parameters, the only definition in the module.
+// FingerprintSeed is the offset basis and the initial state for
+// AppendFingerprint64 chains: Fingerprint64(s) ==
+// AppendFingerprint64(FingerprintSeed, s). FingerprintPrime is the
+// multiplier of each xor-multiply round.
 const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
+	FingerprintSeed  = uint64(14695981039346656037)
+	FingerprintPrime = uint64(1099511628211)
 )
-
-// FingerprintSeed is the initial FNV-1a state for AppendFingerprint64
-// chains; Fingerprint64(s) == AppendFingerprint64(FingerprintSeed, s).
-const FingerprintSeed = uint64(fnvOffset64)
 
 // Fingerprint64 hashes a sorted slice with FNV-1a over each element's
 // eight little-endian bytes. Equal sets produce equal fingerprints;
@@ -195,7 +195,7 @@ func AppendFingerprint64[E Elem](h uint64, s []E) uint64 {
 		w := uint64(e)
 		for b := 0; b < 8; b++ {
 			h ^= w & 0xff
-			h *= fnvPrime64
+			h *= FingerprintPrime
 			w >>= 8
 		}
 	}

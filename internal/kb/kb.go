@@ -34,6 +34,7 @@ import (
 	"time"
 
 	"midas/internal/dict"
+	"midas/internal/idset"
 	"midas/internal/obs"
 )
 
@@ -53,25 +54,17 @@ func (t Triple) Less(u Triple) bool {
 	return t.O < u.O
 }
 
-// FNV-1a 64-bit parameters (shared with internal/idset's set
-// fingerprints; restated here to keep kb's hot path free of generic
-// instantiation).
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
 // fingerprint hashes the triple's three 32-bit ID words with a
-// word-at-a-time FNV-1a variant: three xor-multiply rounds instead of
-// twelve byte rounds. Membership never trusts the fingerprint alone —
+// word-at-a-time FNV-1a variant over idset's FNV-1a constants: three
+// xor-multiply rounds instead of twelve byte rounds. Membership never trusts the fingerprint alone —
 // every probe verifies the full triple and falls back to the overflow
 // list — so the hash only has to be cheap and well-spread, not
 // byte-exact FNV.
 func (t Triple) fingerprint() uint64 {
-	h := uint64(fnvOffset64)
-	h = (h ^ uint64(uint32(t.S))) * fnvPrime64
-	h = (h ^ uint64(uint32(t.P))) * fnvPrime64
-	h = (h ^ uint64(uint32(t.O))) * fnvPrime64
+	h := idset.FingerprintSeed
+	h = (h ^ uint64(uint32(t.S))) * idset.FingerprintPrime
+	h = (h ^ uint64(uint32(t.P))) * idset.FingerprintPrime
+	h = (h ^ uint64(uint32(t.O))) * idset.FingerprintPrime
 	return h
 }
 

@@ -119,26 +119,22 @@ func (s *Server) trackRunning() (untrack func()) {
 	return func() { adjust(-1) }
 }
 
-// execute runs one discovery under ctx, stores a completed result in
-// the session cache if the corpus is still at fp, and finalizes the
-// job. Only complete results are cacheable, and only if no facts
-// arrived and no absorption happened between the request's fingerprint
-// read and the discovery taking the session lock — the discovery
-// stamps the fingerprint it actually ran at into Result.Fingerprint,
-// so the recheck costs nothing instead of a second fingerprint
-// computation. A completed discovery that reused cached per-source
-// detection results from the previous run counts as a partial cache
-// hit (serve/cache/partial): the request missed the result cache but
-// most of the detection work was served from the session's
+// execute runs one discovery under ctx, persists the result the
+// session memoized when the server has a store, and finalizes the job.
+// The session memoizes only a complete result, stamped with the
+// fingerprint it ran at, and the memo is persisted only while the
+// session is still there. A completed discovery that reused cached
+// per-source detection results from the previous run counts as a
+// partial cache hit (serve/cache/partial): the request missed the memo
+// but most of the detection work was served from the session's
 // incremental state.
-func (s *Server) execute(ctx context.Context, sn *session, j *job, fp uint64) {
+func (s *Server) execute(ctx context.Context, sn *session, j *job) {
 	s.logger().InfoContext(ctx, "job started")
 	res, err := s.discover(ctx, sn.sess)
 	if err == nil && res != nil {
-		if res.Fingerprint == fp {
-			sn.storeCache(fp, res)
-			if sn.slog != nil {
-				sn.slog.SaveCache(fp, res)
+		if sn.slog != nil {
+			if memo := sn.sess.Cached(); memo != nil {
+				sn.slog.SaveCache(memo)
 			}
 		}
 		if res.SourcesReused > 0 {
@@ -162,14 +158,13 @@ func (s *Server) execute(ctx context.Context, sn *session, j *job, fp uint64) {
 	s.logger().InfoContext(ctx, "job finished", kv...)
 }
 
-// startDiscover answers a discover request: cache hit → an immediately
-// completed job; otherwise claim a slot and run, either synchronously
-// under the request context (wait=true) or as a background job bounded
-// by JobTimeout. timeout, when positive, tightens the discovery
-// deadline in both modes.
+// startDiscover answers a discover request: a session whose memoized
+// result is current → an immediately completed job; otherwise claim a
+// slot and run, either synchronously under the request context
+// (wait=true) or as a background job bounded by JobTimeout. timeout,
+// when positive, tightens the discovery deadline in both modes.
 func (s *Server) startDiscover(ctx context.Context, sn *session, wait bool, timeout time.Duration) (*job, error) {
-	fp := sn.sess.Fingerprint()
-	if res := sn.cached(fp); res != nil {
+	if res := sn.sess.Cached(); res != nil {
 		s.reg.Counter("serve/cache/hit").Inc()
 		j := s.newJob(sn.name)
 		j.request = requestID(ctx)
@@ -216,7 +211,7 @@ func (s *Server) startDiscover(ctx context.Context, sn *session, wait bool, time
 		runCtx = obs.ContextWithSpan(runCtx, jspan)
 		runCtx = obs.ContextWithLogFields(runCtx, "job", j.id, "session", sn.name)
 		defer s.trackRunning()()
-		s.execute(runCtx, sn, j, fp)
+		s.execute(runCtx, sn, j)
 		jspan.Arg("status", j.statusNow()).End()
 		return j, nil
 	}
@@ -241,7 +236,7 @@ func (s *Server) startDiscover(ctx context.Context, sn *session, wait bool, time
 		defer close(done)
 		defer cancel()
 		defer s.release()
-		s.execute(jobCtx, sn, j, fp)
+		s.execute(jobCtx, sn, j)
 		jspan.Arg("status", j.statusNow()).End()
 	}()
 	return j, nil

@@ -3,13 +3,14 @@
 // surface hardened for real traffic. Discoveries run as asynchronous
 // jobs behind a bounded in-flight semaphore (saturation sheds with 429),
 // request deadlines and client disconnects propagate into the pipeline
-// via context, repeated discoveries on an unchanged corpus are answered
-// from a result cache keyed by the session's FNV-1a fingerprint, cache
-// misses run the session's delta-aware discovery (only sources the
+// via context, a repeated discovery on an unchanged session is answered
+// from the session's memoized last result (midas.Session.Cached), other
+// discoveries run the session's delta-aware discovery (only sources the
 // mutation touched are re-detected; reuse is surfaced as
 // serve/cache/partial hits), and shutdown drains running jobs before
-// the final metrics snapshot is flushed. Telemetry (/metrics, /debug/vars, /debug/pprof) is mounted on
-// the same listener via obs.Mount.
+// the final metrics snapshot is flushed. Telemetry (/metrics,
+// /debug/vars, /debug/pprof) is mounted on the same listener via
+// obs.Mount.
 package serve
 
 import (
@@ -154,13 +155,9 @@ type Server struct {
 	newSession func(opts *midas.Options) *midas.Session
 }
 
-// session is one named midas.Session plus its single-entry result
-// cache. The corpus is append-only and the KB only grows, so an old
-// fingerprint never recurs and one entry is all a cache needs. The
-// cache is only the exact-hit fast path: a fingerprint miss runs the
-// session's incremental discovery, which itself reuses the per-source
-// detection results of the previous run for every source the mutation
-// did not touch (reported as serve/cache/partial hits).
+// session is one named midas.Session plus its durable log. The
+// Session itself memoizes its last complete result, which answers a
+// repeated discovery (serve/cache/hit).
 type session struct {
 	name string
 	sess *midas.Session
@@ -176,25 +173,6 @@ type session struct {
 	recovered bool
 	// snapping guards the at-most-one async threshold snapshot.
 	snapping atomic.Bool
-
-	cmu      sync.Mutex
-	cacheFP  uint64
-	cacheRes *midas.Result
-}
-
-func (sn *session) cached(fp uint64) *midas.Result {
-	sn.cmu.Lock()
-	defer sn.cmu.Unlock()
-	if sn.cacheRes != nil && sn.cacheFP == fp {
-		return sn.cacheRes
-	}
-	return nil
-}
-
-func (sn *session) storeCache(fp uint64, res *midas.Result) {
-	sn.cmu.Lock()
-	sn.cacheFP, sn.cacheRes = fp, res
-	sn.cmu.Unlock()
 }
 
 // New returns a Server ready to serve Handler().
@@ -453,9 +431,10 @@ func (s *Server) decodeStoredOptions(optionsJSON []byte) (*midas.Options, error)
 
 // Recover restores every session the store holds from before the last
 // shutdown or crash: verified sessions are registered (marked
-// recovered, result caches reattached), sessions that fail
-// verification are quarantined by the store and surface only in the
-// returned Recovery. Call once, after New and before serving traffic.
+// recovered, with the persisted result memoized when still current),
+// sessions that fail verification are quarantined by the store and
+// surface only in the returned Recovery. Call once, after New and
+// before serving traffic.
 func (s *Server) Recover(ctx context.Context) (*store.Recovery, error) {
 	if s.opts.Store == nil {
 		return &store.Recovery{}, nil
@@ -466,11 +445,7 @@ func (s *Server) Recover(ctx context.Context) (*store.Recovery, error) {
 	}
 	s.mu.Lock()
 	for _, r := range rec.Sessions {
-		sn := &session{name: r.Name, sess: r.Session, slog: r.Log, recovered: true}
-		if r.CacheResult != nil {
-			sn.cacheFP, sn.cacheRes = r.CacheFingerprint, r.CacheResult
-		}
-		s.sessions[r.Name] = sn
+		s.sessions[r.Name] = &session{name: r.Name, sess: r.Session, slog: r.Log, recovered: true}
 	}
 	s.reg.Gauge("serve/sessions").Set(float64(len(s.sessions)))
 	s.reg.Gauge("serve/sessions/recovered").Set(float64(len(rec.Sessions)))

@@ -50,10 +50,10 @@ func parseSeq(name, prefix, suffix string) (uint64, bool) {
 
 // Log is the durable state of one session: a write-ahead log of its
 // confirmed mutation stream in checksummed frames, segment-rotated by
-// compacting snapshots, plus the persisted result cache. Appends are
-// expected to be externally serialized against each other and against
-// Snapshot (the serving layer holds a per-session mutation mutex);
-// SaveCache may run concurrently with anything.
+// compacting snapshots, plus the session's persisted result memo.
+// Appends are expected to be externally serialized against each other
+// and against Snapshot (the serving layer holds a per-session mutation
+// mutex); SaveCache may run concurrently with anything.
 type Log struct {
 	st      *Store
 	name    string
@@ -373,7 +373,7 @@ func (l *Log) removeSuperseded(keepSeq uint64) {
 	}
 }
 
-// cachePayload is the persisted result cache: the session fingerprint
+// cachePayload is the persisted result memo: the session fingerprint
 // the result was computed at, plus the result as JSON (float64 values
 // round-trip exactly through Go's JSON encoding).
 type cachePayload struct {
@@ -381,17 +381,18 @@ type cachePayload struct {
 	Result      *midas.Result `json:"result"`
 }
 
-// SaveCache persists the session's single-entry result cache with
-// write + rename and no fsync: the page cache survives a process kill,
-// and after an OS crash a missing or torn cache is merely a cache miss.
-func (l *Log) SaveCache(fp uint64, res *midas.Result) {
+// SaveCache persists a result the session memoized (Session.Cached),
+// keyed by res.Fingerprint, with write + rename and no fsync: the page
+// cache survives a process kill, and after an OS crash a missing or
+// torn file merely leaves the recovered session without a memo.
+func (l *Log) SaveCache(res *midas.Result) {
 	l.mu.Lock()
 	dead := l.closed || l.frozen
 	l.mu.Unlock()
 	if dead {
 		return
 	}
-	body, err := json.Marshal(cachePayload{Fingerprint: fp, Result: res})
+	body, err := json.Marshal(cachePayload{Fingerprint: res.Fingerprint, Result: res})
 	if err != nil {
 		return
 	}
@@ -408,11 +409,11 @@ func (l *Log) SaveCache(fp uint64, res *midas.Result) {
 	os.Rename(tmp, filepath.Join(l.dir, cacheName))
 }
 
-// loadCache reads a persisted result cache; any damage is a miss.
-func loadCache(dir string) (uint64, *midas.Result) {
+// loadCache reads a persisted result memo; any damage reads as nil.
+func loadCache(dir string) *midas.Result {
 	b, err := os.ReadFile(filepath.Join(dir, cacheName))
 	if err != nil || len(b) < 4 || string(b[:4]) != cacheMagic {
-		return 0, nil
+		return nil
 	}
 	var body []byte
 	n, clean, _ := scanRecords(bytes.NewReader(b[4:]), func(p []byte) error {
@@ -420,13 +421,13 @@ func loadCache(dir string) (uint64, *midas.Result) {
 		return nil
 	})
 	if n != 1 || !clean || body == nil {
-		return 0, nil
+		return nil
 	}
 	var cp cachePayload
 	if json.Unmarshal(body, &cp) != nil || cp.Result == nil {
-		return 0, nil
+		return nil
 	}
-	return cp.Fingerprint, cp.Result
+	return cp.Result
 }
 
 // Close stops the syncer and closes the active segment after a final

@@ -30,11 +30,6 @@ type Recovered struct {
 	Fingerprint uint64
 	// Log continues the session's durable stream.
 	Log *Log
-	// CacheFingerprint and CacheResult restore the session's result
-	// cache when a valid cache file survived; CacheResult is nil
-	// otherwise.
-	CacheFingerprint uint64
-	CacheResult      *midas.Result
 	// Replayed counts WAL records applied on top of the snapshot;
 	// TornTail reports that the final segment ended mid-record.
 	Replayed int
@@ -224,12 +219,13 @@ func (st *Store) recoverSession(name, dir string, decode DecodeOptions) (*Recove
 	}
 	l.startSyncer()
 
-	r := &Recovered{
+	// A persisted memo still current at the recovered fingerprint
+	// answers the first repeat discovery after the restart.
+	sess.Remember(loadCache(dir))
+	return &Recovered{
 		Name: name, Session: sess, Fingerprint: sess.Fingerprint(),
 		Log: l, Replayed: replayed, TornTail: torn,
-	}
-	r.CacheFingerprint, r.CacheResult = loadCache(dir)
-	return r, nil
+	}, nil
 }
 
 // replaySegment scans one segment, applying each record to the session

@@ -9,7 +9,7 @@
 //
 //	sessions/<name>/wal-<seq>.log    WAL segments (checksummed frames)
 //	sessions/<name>/snap-<seq>.snap  snapshots (fingerprint-stamped)
-//	sessions/<name>/cache.bin        persisted result cache
+//	sessions/<name>/cache.bin        persisted result memo
 //	trash/                           tombstoned deletes, emptied on open
 //	quarantine/                      sessions recovery refused to serve
 //

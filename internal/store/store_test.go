@@ -665,9 +665,9 @@ func TestCreateKillRace(t *testing.T) {
 	}
 }
 
-// TestCacheRoundTrip: the persisted result cache survives recovery at
-// the stamped fingerprint, and a damaged cache is a miss, never an
-// error.
+// TestCacheRoundTrip: the persisted result memo is memoized again by
+// the recovered session when it is still current, and is absent after
+// damage or a later mutation, never an error.
 func TestCacheRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open(Options{Dir: dir, Fsync: PolicyNone})
@@ -688,42 +688,57 @@ func TestCacheRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.SaveCache(res.Fingerprint, res)
+	l.SaveCache(res)
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	cp := copyDir(t, dir)
-	_, rec := recoverDir(t, cp)
-	if len(rec.Sessions) != 1 {
-		t.Fatalf("recovery: %+v", rec)
-	}
-	r := rec.Sessions[0]
-	if r.CacheFingerprint != res.Fingerprint || r.CacheResult == nil {
-		t.Fatalf("cache not restored: fp %016x, want %016x", r.CacheFingerprint, res.Fingerprint)
-	}
-	if !reflect.DeepEqual(r.CacheResult.Slices, res.Slices) {
-		t.Fatalf("cached slices diverged\nwant %+v\ngot  %+v", res.Slices, r.CacheResult.Slices)
-	}
-	// The restored cache must be live: the recovered session's
-	// fingerprint equals the stamp, so a discovery at this state would
-	// hit.
-	if r.Fingerprint != r.CacheFingerprint {
-		t.Fatalf("recovered fp %016x != cache fp %016x", r.Fingerprint, r.CacheFingerprint)
+	recoverOne := func(dir string) (*Store, Recovered) {
+		t.Helper()
+		st, rec := recoverDir(t, dir)
+		if len(rec.Sessions) != 1 {
+			t.Fatalf("recovery: %+v", rec)
+		}
+		return st, rec.Sessions[0]
 	}
 
-	// Damaged cache: truncate → miss.
-	cp2 := copyDir(t, dir)
-	cpath := filepath.Join(cp2, "sessions", "s1", cacheName)
+	_, r := recoverOne(copyDir(t, dir))
+	got := r.Session.Cached()
+	if got == nil {
+		t.Fatal("memo not restored")
+	}
+	if !reflect.DeepEqual(got.Slices, res.Slices) {
+		t.Fatalf("memoized slices diverged\nwant %+v\ngot  %+v", res.Slices, got.Slices)
+	}
+	if fp := r.Session.Fingerprint(); got.Fingerprint != fp || fp != res.Fingerprint {
+		t.Fatalf("memo fp %016x, recovered fp %016x, want %016x", got.Fingerprint, fp, res.Fingerprint)
+	}
+
+	// Damaged file: truncate → no memo.
+	cp := copyDir(t, dir)
+	cpath := filepath.Join(cp, "sessions", "s1", cacheName)
 	if err := os.Truncate(cpath, fileSize(t, cpath)/2); err != nil {
 		t.Fatal(err)
 	}
-	_, rec2 := recoverDir(t, cp2)
-	if len(rec2.Sessions) != 1 {
-		t.Fatalf("recovery: %+v", rec2)
+	if _, r := recoverOne(cp); r.Session.Cached() != nil {
+		t.Error("damaged cache file should leave no memo")
 	}
-	if rec2.Sessions[0].CacheResult != nil {
-		t.Error("damaged cache should read as a miss")
+
+	// Stale file: one more AddFacts record after the save → no memo.
+	cp = copyDir(t, dir)
+	st2, r := recoverOne(cp)
+	late := midas.Fact{
+		Subject: "late entity", Predicate: "kind", Object: "late kind",
+		Confidence: 0.9, URL: "http://late.example.com/wiki/late.htm",
+	}
+	if err := r.Log.AppendFacts([]midas.Fact{late}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, r := recoverOne(cp); r.Session.Cached() != nil || r.Fingerprint == res.Fingerprint {
+		t.Errorf("stale cache file memoized (recovered fp %016x, saved at %016x)", r.Fingerprint, res.Fingerprint)
 	}
 }
 

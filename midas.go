@@ -208,7 +208,7 @@ type Result struct {
 	SourcesReused int
 	// Fingerprint is the session fingerprint the result was computed at
 	// (Session.Fingerprint read under the same lock as the discovery),
-	// 0 for package-level Discover. Caches key results by it.
+	// 0 for package-level Discover. Session.Cached keys its memo by it.
 	Fingerprint uint64
 }
 

@@ -3,7 +3,6 @@ package midas
 import (
 	"context"
 	"math"
-	"sort"
 	"strings"
 	"sync"
 
@@ -13,7 +12,6 @@ import (
 	"midas/internal/idset"
 	"midas/internal/kb"
 	"midas/internal/obs"
-	"midas/internal/source"
 )
 
 // Session drives the iterative knowledge-base augmentation loop the
@@ -42,20 +40,24 @@ import (
 // synchronized — route KB growth through Absorb or quiesce discoveries
 // first.
 //
-// Lock order: mu, then corpusMu or pmu (never both at once), then the
-// KB's own lock, which every KB call takes inside.
+// Lock order: mu, then corpusMu, then the KB's own lock, which every
+// KB call takes inside.
 type Session struct {
 	mu     sync.RWMutex
 	kb     *KB
 	corpus *Corpus
 	opts   Options
 
-	// corpusMu guards the state derived from the append-only corpus:
-	// the running fingerprint and the index below. Both are extended
-	// lazily by the reader that next needs them, never by AddFacts, so
-	// corpusMu serializes that advance between concurrent readers. A
-	// corpus only grows under mu's write lock, so once a reader has
-	// extended the state it stays current while the reader holds mu.
+	// corpusMu guards everything below, which readers extend or record:
+	// the running fingerprint and the corpus index, extended lazily by
+	// the reader that next needs them (never by AddFacts), and the
+	// prior, delta trail and result memo a completed discovery records.
+	// Only readers take it, always under mu's read lock, so it
+	// serializes those writes between concurrent readers. The writers
+	// (AddFacts, Absorb) hold mu exclusively and touch the state with no
+	// inner lock. A corpus only grows under mu's write lock, so once a
+	// reader has extended the state it stays current while the reader
+	// holds mu.
 	corpusMu sync.Mutex
 	// factFP is the running FNV-1a fingerprint over the first fpFacts
 	// corpus facts; Fingerprint extends it incrementally as the
@@ -63,12 +65,6 @@ type Session struct {
 	factFP  uint64
 	fpFacts int
 	idx     corpusIndex
-
-	// pmu guards the incremental-discovery state: the prior completed
-	// run and the KB delta accumulated since it. mu's writers mutate
-	// this state and mu's readers consume it, but pmu makes each access
-	// atomic so concurrent discoveries (all readers) stay race-free.
-	pmu sync.Mutex
 	// prior is the reusable per-source state of the last completed
 	// discovery; nil forces a from-scratch run.
 	prior *framework.Prior
@@ -80,11 +76,9 @@ type Session struct {
 	delta       []kb.Triple
 	deltaTo     uint64
 	deltaBroken bool
-	// dirtySrcs names normalized sources touched by AddFacts/Absorb
-	// since the last completed discovery — an advisory signal for
-	// operators (DirtySources); the framework's per-source fingerprints
-	// are the reuse authority.
-	dirtySrcs map[string]struct{}
+	// last is the result of the last completed discovery, stamped with
+	// the fingerprint it ran at (see Cached).
+	last *Result
 }
 
 // corpusIndex is the session's view of its corpus, extended over the
@@ -157,18 +151,6 @@ func (s *Session) AddFacts(facts ...Fact) {
 	for _, f := range facts {
 		s.corpus.Add(f)
 	}
-	if len(facts) > 0 {
-		s.pmu.Lock()
-		if s.dirtySrcs == nil {
-			s.dirtySrcs = make(map[string]struct{})
-		}
-		for _, f := range facts {
-			if src := source.Normalize(f.URL); src != "" {
-				s.dirtySrcs[src] = struct{}{}
-			}
-		}
-		s.pmu.Unlock()
-	}
 	s.mu.Unlock()
 	s.metrics().Counter("session/facts_added").Add(int64(len(facts)))
 }
@@ -179,9 +161,10 @@ func (s *Session) AddFacts(facts ...Fact) {
 // epoch. Two calls return the same value iff no facts were added and
 // the KB saw no writes in between — including writes that inserted
 // only already-known triples, which leave the size unchanged but still
-// advance the epoch — so Discover results can be cached keyed by it
-// (see internal/serve). The corpus hash is maintained incrementally —
-// on an unchanged session this is O(1).
+// advance the epoch — so a Discover result stays valid exactly while
+// the fingerprint it carries is current, the rule Cached applies. The
+// corpus hash is maintained incrementally — on an unchanged session
+// this is O(1).
 func (s *Session) Fingerprint() uint64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -190,8 +173,8 @@ func (s *Session) Fingerprint() uint64 {
 	return s.fingerprintLocked()
 }
 
-// fingerprintLocked computes the fingerprint under mu (read or write)
-// and corpusMu.
+// fingerprintLocked computes the fingerprint under mu's write lock, or
+// its read lock and corpusMu.
 func (s *Session) fingerprintLocked() uint64 {
 	facts := s.corpus.c.Facts
 	for _, e := range facts[s.fpFacts:] {
@@ -208,12 +191,12 @@ func (s *Session) fingerprintLocked() uint64 {
 	})
 }
 
-// syncLocked brings the corpus index up to date under mu (read or
-// write) and corpusMu: it first recounts coverage if the KB moved
-// outside Absorb since the count was taken — the rule usablePrior
-// applies to the delta trail — and then folds in the facts added since
-// the last call, which is O(new facts). With nothing new and the count
-// current it writes nothing.
+// syncLocked brings the corpus index up to date under mu's write lock,
+// or its read lock and corpusMu: it first recounts coverage if the KB
+// moved outside Absorb since the count was taken — the rule
+// usablePriorLocked applies to the delta trail — and then folds in the
+// facts added since the last call, which is O(new facts). With nothing
+// new and the count current it writes nothing.
 func (s *Session) syncLocked() {
 	x := &s.idx
 	if epoch := s.kb.store.Epoch(); epoch != x.covEpoch {
@@ -260,31 +243,47 @@ func (s *Session) SourceFingerprints() map[string]uint64 {
 	return out
 }
 
-// DirtySources lists, sorted, the normalized sources touched by
-// AddFacts or Absorb since the last completed discovery. It is an
-// advisory operator signal: the framework decides actual reuse from
-// per-source fingerprints and absorbed-triple containment, which also
-// catch sources sharing facts with an absorbed slice.
-func (s *Session) DirtySources() []string {
-	s.pmu.Lock()
-	defer s.pmu.Unlock()
-	out := make([]string, 0, len(s.dirtySrcs))
-	for src := range s.dirtySrcs {
-		out = append(out, src)
+// Cached returns the result of the last complete discovery if the
+// session is still at the fingerprint that discovery ran at, else nil.
+// It runs no discovery. The result is shared with every caller that
+// gets it, and must not be modified.
+func (s *Session) Cached() *Result {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	s.corpusMu.Lock()
+	defer s.corpusMu.Unlock()
+	if s.last != nil && s.last.Fingerprint == s.fingerprintLocked() {
+		return s.last
 	}
-	sort.Strings(out)
-	return out
+	return nil
 }
 
-// usablePrior decides whether the last completed run can seed this one,
-// and with which KB delta. Reuse requires either an untouched KB (epoch
-// equal to the prior's) or a delta trail that is provably complete: the
-// KB's epoch matches the last Absorb's and no untracked mutation broke
-// the trail in between.
-func (s *Session) usablePrior() (*framework.Prior, []kb.Triple) {
+// Remember adopts res as the result Cached returns, but only if
+// res.Fingerprint equals the session's current fingerprint, and reports
+// whether it did. It restores a result persisted across a restart.
+func (s *Session) Remember(res *Result) bool {
+	if res == nil {
+		return false
+	}
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	s.corpusMu.Lock()
+	defer s.corpusMu.Unlock()
+	if res.Fingerprint != s.fingerprintLocked() {
+		return false
+	}
+	s.last = res
+	return true
+}
+
+// usablePriorLocked decides, under mu's read lock and corpusMu,
+// whether the last completed run can seed this one, and with which KB
+// delta. Reuse requires either an untouched KB (epoch equal to the
+// prior's) or a delta trail that is provably complete: the KB's epoch
+// matches the last Absorb's and no untracked mutation broke the trail
+// in between.
+func (s *Session) usablePriorLocked() (*framework.Prior, []kb.Triple) {
 	epoch := s.kb.store.Epoch()
-	s.pmu.Lock()
-	defer s.pmu.Unlock()
 	if s.prior == nil {
 		return nil, nil
 	}
@@ -295,18 +294,6 @@ func (s *Session) usablePrior() (*framework.Prior, []kb.Triple) {
 		return s.prior, append([]kb.Triple(nil), s.delta...)
 	}
 	return nil, nil
-}
-
-// storePrior records a completed run's reusable state and resets the
-// delta trail to start from it.
-func (s *Session) storePrior(p *framework.Prior) {
-	s.pmu.Lock()
-	s.prior = p
-	s.delta = nil
-	s.deltaTo = p.Epoch
-	s.deltaBroken = false
-	s.dirtySrcs = nil
-	s.pmu.Unlock()
 }
 
 // Discover runs the full pipeline over the current corpus against the
@@ -327,7 +314,8 @@ func (s *Session) Discover() *Result {
 // sources whose facts changed or whose tables hold a triple absorbed
 // since, plus their ancestors, reusing everything else — work
 // proportional to the delta, with a result identical to a from-scratch
-// run. Result.SourcesReused reports how much was skipped.
+// run. Result.SourcesReused reports how much was skipped. A completed
+// run's result is what Cached returns until the session changes.
 func (s *Session) DiscoverContext(ctx context.Context) (*Result, error) {
 	reg := s.metrics()
 	defer reg.Timer("session/discover").Start()()
@@ -335,12 +323,18 @@ func (s *Session) DiscoverContext(ctx context.Context) (*Result, error) {
 	s.corpusMu.Lock()
 	fp := s.fingerprintLocked()
 	s.syncLocked()
+	prior, delta := s.usablePriorLocked()
 	s.corpusMu.Unlock()
-	prior, delta := s.usablePrior()
 	res, next, err := discover(ctx, s.corpus, s.kb, &s.opts, &incremental{prior, delta, s.idx.part})
 	res.Fingerprint = fp
-	if err == nil && next != nil {
-		s.storePrior(next)
+	if err == nil {
+		// Record the run's reusable state, restart the delta trail from
+		// it, and memoize the result, all before a writer can move the
+		// session past fp.
+		s.corpusMu.Lock()
+		s.prior, s.last = next, res
+		s.delta, s.deltaTo, s.deltaBroken = nil, next.Epoch, false
+		s.corpusMu.Unlock()
 	}
 	s.mu.RUnlock()
 	reg.Counter("session/discoveries").Inc()
@@ -365,14 +359,11 @@ func (s *Session) Absorb(sl Slice) int {
 	defer reg.Timer("session/absorb").Start()()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.pmu.Lock()
 	if s.prior != nil && s.kb.store.Epoch() != s.deltaTo {
 		// The KB moved since the delta trail last caught up: an
 		// untracked mutation slipped in, so completeness is gone.
 		s.deltaBroken = true
 	}
-	s.pmu.Unlock()
-	s.corpusMu.Lock()
 	s.syncLocked()
 	// The corpus shares the KB's space, so an entity string resolves to
 	// the subject ID its postings are keyed by; one never interned has
@@ -403,17 +394,10 @@ func (s *Session) Absorb(sl Slice) int {
 	// Every triple added is a corpus triple the KB did not hold.
 	s.idx.covered += added
 	s.idx.covEpoch = s.kb.store.Epoch()
-	s.corpusMu.Unlock()
-	s.pmu.Lock()
 	if s.prior != nil && !s.deltaBroken {
 		s.delta = append(s.delta, addedTriples...)
 	}
 	s.deltaTo = s.kb.store.Epoch()
-	if s.dirtySrcs == nil {
-		s.dirtySrcs = make(map[string]struct{})
-	}
-	s.dirtySrcs[sl.Source] = struct{}{}
-	s.pmu.Unlock()
 	reg.Counter("session/absorbs").Inc()
 	reg.Counter("session/facts_absorbed").Add(int64(added))
 	reg.Gauge("session/kb_facts").Set(float64(s.kb.Size()))

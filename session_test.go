@@ -262,6 +262,106 @@ func TestSessionFingerprint(t *testing.T) {
 	}
 }
 
+// TestSessionCached: Cached hands out the last complete discovery's
+// result exactly while the session stays at the fingerprint it ran at,
+// and Remember adopts a result only at the current fingerprint. Each
+// case starts from a session holding sessionCorpusFacts and returns
+// what Cached must answer afterwards.
+func TestSessionCached(t *testing.T) {
+	lateFact := midas.Fact{
+		Subject: "late entity", Predicate: "kind", Object: "type0",
+		Confidence: 0.9, URL: "http://site0.example.com/wiki/late.htm",
+	}
+	discover := func(t *testing.T, sess *midas.Session) *midas.Result {
+		t.Helper()
+		res, err := sess.DiscoverContext(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Slices) == 0 {
+			t.Fatal("no slices")
+		}
+		return res
+	}
+	cases := []struct {
+		name string
+		run  func(t *testing.T, sess *midas.Session) *midas.Result
+	}{
+		{"before any discovery", func(t *testing.T, sess *midas.Session) *midas.Result {
+			return nil
+		}},
+		{"after a complete discovery", func(t *testing.T, sess *midas.Session) *midas.Result {
+			return discover(t, sess)
+		}},
+		{"after AddFacts", func(t *testing.T, sess *midas.Session) *midas.Result {
+			discover(t, sess)
+			sess.AddFacts(lateFact)
+			return nil
+		}},
+		{"after Absorb", func(t *testing.T, sess *midas.Session) *midas.Result {
+			res := discover(t, sess)
+			if sess.Absorb(res.Slices[0]) == 0 {
+				t.Fatal("absorb added nothing")
+			}
+			return nil
+		}},
+		{"after a duplicate-only Absorb", func(t *testing.T, sess *midas.Session) *midas.Result {
+			res := discover(t, sess)
+			sess.Absorb(res.Slices[0])
+			sess.Discover()
+			if sess.Cached() == nil {
+				t.Fatal("no memo after the re-discovery")
+			}
+			if n := sess.Absorb(res.Slices[0]); n != 0 {
+				t.Fatalf("duplicate absorb added %d facts", n)
+			}
+			return nil
+		}},
+		{"after a direct KB write", func(t *testing.T, sess *midas.Session) *midas.Result {
+			discover(t, sess)
+			sess.KB().Add("v0 entity 0", "kind", "type0")
+			return nil
+		}},
+		{"after a canceled discovery", func(t *testing.T, sess *midas.Session) *midas.Result {
+			discover(t, sess)
+			sess.AddFacts(lateFact)
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			if _, err := sess.DiscoverContext(ctx); err == nil {
+				t.Fatal("canceled discovery reported no error")
+			}
+			return nil
+		}},
+		{"Remember at a stale fingerprint", func(t *testing.T, sess *midas.Session) *midas.Result {
+			res := discover(t, sess)
+			sess.AddFacts(lateFact)
+			if sess.Remember(res) {
+				t.Error("Remember adopted a result at a stale fingerprint")
+			}
+			return nil
+		}},
+		{"Remember at the current fingerprint", func(t *testing.T, sess *midas.Session) *midas.Result {
+			other := midas.NewSession(nil, nil)
+			other.AddFacts(sessionCorpusFacts()...)
+			res := discover(t, other)
+			if !sess.Remember(res) {
+				t.Error("Remember refused a result at the current fingerprint")
+			}
+			return res
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sess := midas.NewSession(nil, nil)
+			sess.AddFacts(sessionCorpusFacts()...)
+			want := tc.run(t, sess)
+			if got := sess.Cached(); got != want {
+				t.Errorf("Cached() = %p, want %p", got, want)
+			}
+		})
+	}
+}
+
 // TestSessionConcurrent: ≥8 goroutines hammer one session with the full
 // method surface; run under -race this proves the RWMutex guard. The
 // assertions are deliberately weak — the point is the interleaving.
@@ -299,6 +399,8 @@ func TestSessionConcurrent(t *testing.T) {
 				default:
 					sess.Progress()
 					sess.Fingerprint()
+					sess.Cached()
+					sess.SourceFingerprints()
 				}
 			}
 		}(c)
