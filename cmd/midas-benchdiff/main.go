@@ -36,11 +36,9 @@
 //   - request p99 (optional, for serving-path snapshots such as the
 //     final -stats dump of midas-serve): per-endpoint p99 latency
 //     estimated from the serve/request_seconds histogram vector must
-//     not regress by more than -max-p99-regress. Endpoints present only
-//     in the serve/request timer vector fall back to the timer's
-//     recorded max as a conservative p99 bound. Disabled at the default
-//     -max-p99-regress 0; baselines below -min-p99-seconds are skipped
-//     as noise.
+//     not regress by more than -max-p99-regress. Disabled at the
+//     default -max-p99-regress 0; baselines below -min-p99-seconds are
+//     skipped as noise.
 //
 // Usage:
 //
@@ -228,18 +226,16 @@ func compareReuse(rep *Report, newSnap obs.Snapshot, th Thresholds) {
 
 // compareP99 applies the latency check to each endpoint of the
 // serving-path request instrumentation: p99 estimated from the
-// serve/request_seconds histogram vector, falling back to the
-// serve/request timer vector's recorded max (a conservative upper
-// bound on p99) for endpoints the histogram is missing. Disabled
-// unless the limit is positive — bench snapshots have no serving-path
-// traffic — and endpoints below the baseline noise floor are skipped.
+// serve/request_seconds histogram vector. Disabled unless the limit is
+// positive — bench snapshots have no serving-path traffic — and
+// endpoints below the baseline noise floor are skipped.
 func compareP99(rep *Report, oldSnap, newSnap obs.Snapshot, th Thresholds) {
 	if th.MaxP99Regress <= 0 {
 		return
 	}
 	oldP99 := endpointP99s(oldSnap)
 	if len(oldP99) == 0 {
-		rep.Lines = append(rep.Lines, "p99 latency: no baseline request histograms or timers, skipping")
+		rep.Lines = append(rep.Lines, "p99 latency: no baseline request histograms, skipping")
 		return
 	}
 	newP99 := endpointP99s(newSnap)
@@ -264,9 +260,8 @@ func compareP99(rep *Report, oldSnap, newSnap obs.Snapshot, th Thresholds) {
 	}
 }
 
-// endpointP99s maps endpoint → estimated p99 seconds, preferring the
-// request-latency histogram and falling back to the request timer's
-// max for endpoints only the timer saw.
+// endpointP99s maps endpoint → p99 seconds estimated from the
+// request-latency histogram.
 func endpointP99s(s obs.Snapshot) map[string]float64 {
 	out := make(map[string]float64)
 	for _, series := range s.HistogramVecs["serve/request_seconds"].Series {
@@ -276,15 +271,6 @@ func endpointP99s(s obs.Snapshot) map[string]float64 {
 		}
 		if p, ok := histQuantile(series.HistogramSnapshot, 0.99); ok {
 			out[ep] = p
-		}
-	}
-	for _, series := range s.TimerVecs["serve/request"].Series {
-		ep, ok := series.Labels["endpoint"]
-		if !ok || series.Count == 0 {
-			continue
-		}
-		if _, have := out[ep]; !have {
-			out[ep] = series.MaxSeconds
 		}
 	}
 	return out

@@ -201,10 +201,8 @@ func TestPruneRatio(t *testing.T) {
 }
 
 // latSnap extends a base snapshot with request-latency series: hist
-// maps endpoint → histogram, timerMax maps endpoint → the request
-// timer's recorded max (the fallback source for endpoints without a
-// histogram).
-func latSnap(base obs.Snapshot, hist map[string]obs.HistogramSnapshot, timerMax map[string]float64) obs.Snapshot {
+// maps endpoint → histogram.
+func latSnap(base obs.Snapshot, hist map[string]obs.HistogramSnapshot) obs.Snapshot {
 	hv := obs.HistogramVecSnapshot{LabelNames: []string{"endpoint"}}
 	for _, ep := range sortedKeys(hist) {
 		hv.Series = append(hv.Series, obs.LabeledHistogram{
@@ -213,17 +211,6 @@ func latSnap(base obs.Snapshot, hist map[string]obs.HistogramSnapshot, timerMax 
 		})
 	}
 	base.HistogramVecs = map[string]obs.HistogramVecSnapshot{"serve/request_seconds": hv}
-	tv := obs.TimerVecSnapshot{LabelNames: []string{"endpoint"}}
-	for _, ep := range sortedKeys(timerMax) {
-		tv.Series = append(tv.Series, obs.LabeledTimer{
-			Labels:        map[string]string{"endpoint": ep},
-			TimerSnapshot: obs.TimerSnapshot{Count: 10, TotalSeconds: 1, MaxSeconds: timerMax[ep]},
-		})
-	}
-	if base.TimerVecs == nil {
-		base.TimerVecs = map[string]obs.TimerVecSnapshot{}
-	}
-	base.TimerVecs["serve/request"] = tv
 	return base
 }
 
@@ -268,8 +255,8 @@ func TestHistQuantile(t *testing.T) {
 func inf() float64 { return math.Inf(1) }
 
 func TestCompareP99DisabledByDefault(t *testing.T) {
-	oldSnap := latSnap(snap(1.0, 1000, 300, 200), map[string]obs.HistogramSnapshot{"GET /api/jobs": hist(0.01, 0.02)}, nil)
-	newSnap := latSnap(snap(1.0, 1000, 300, 200), map[string]obs.HistogramSnapshot{"GET /api/jobs": hist(1, 2)}, nil)
+	oldSnap := latSnap(snap(1.0, 1000, 300, 200), map[string]obs.HistogramSnapshot{"GET /api/jobs": hist(0.01, 0.02)})
+	newSnap := latSnap(snap(1.0, 1000, 300, 200), map[string]obs.HistogramSnapshot{"GET /api/jobs": hist(1, 2)})
 	rep := Compare(oldSnap, newSnap, defaultTh) // MaxP99Regress zero
 	if regressionsMatching(rep, "p99") != 0 {
 		t.Errorf("regressions = %v, p99 check must stay disabled at limit 0", rep.Regressions)
@@ -284,21 +271,18 @@ func TestCompareP99Regression(t *testing.T) {
 		"POST /api/sessions/{name}/discover": hist(0.05, 0.1),    // regresses 10×
 		"GET /api/jobs":                      hist(0.05, 0.1),    // stays put
 		"GET /healthz":                       hist(0.001, 0.002), // below noise floor
-	}, map[string]float64{"POST /api/sessions": 0.1}) // timer-only endpoint
+	})
 	newSnap := latSnap(snap(1.0, 1000, 300, 200), map[string]obs.HistogramSnapshot{
 		"POST /api/sessions/{name}/discover": hist(0.5, 1.0),
 		"GET /api/jobs":                      hist(0.05, 0.1),
 		"GET /healthz":                       hist(0.5, 1.0),
-	}, map[string]float64{"POST /api/sessions": 0.3}) // tripled: timer fallback must catch it
+	})
 	rep := Compare(oldSnap, newSnap, th)
 	if regressionsMatching(rep, "p99 latency: POST /api/sessions/{name}/discover") != 1 {
 		t.Errorf("regressions = %v, want the discover endpoint flagged", rep.Regressions)
 	}
-	if regressionsMatching(rep, "p99 latency: POST /api/sessions ") != 1 {
-		t.Errorf("regressions = %v, want the timer-fallback endpoint flagged", rep.Regressions)
-	}
-	if got := regressionsMatching(rep, "p99"); got != 2 {
-		t.Errorf("regressions = %v, want exactly two p99 regressions", rep.Regressions)
+	if got := regressionsMatching(rep, "p99"); got != 1 {
+		t.Errorf("regressions = %v, want exactly one p99 regression", rep.Regressions)
 	}
 }
 

@@ -230,6 +230,48 @@ func TestIncrementalDiscoverEquivalence(t *testing.T) {
 	}
 }
 
+// TestIncrementalFuseDroppedPage: fusion can remove every fact of a
+// page when a more confident conflicting value for the same subject and
+// predicate arrives on another domain. The page then drops out of the
+// walk, and its parent's prior table — which still holds the page's
+// fact — must not be reused: the incremental result must match a
+// from-scratch discovery, profits included.
+func TestIncrementalFuseDroppedPage(t *testing.T) {
+	opts := &midas.Options{Cost: midas.CostModel{Fp: 1, Fc: 0.001, Fd: 0.01, Fv: 0.1}, Fuse: true, Workers: 1}
+	var log []midas.Fact
+	for i := 0; i < 20; i++ {
+		log = append(log, midas.Fact{Subject: fmt.Sprintf("star %d", i), Predicate: "class", Object: "dwarf",
+			Confidence: 0.9, URL: fmt.Sprintf("http://astro.example.org/stars/%d.htm", i)})
+	}
+	log = append(log, midas.Fact{Subject: "ghost", Predicate: "class", Object: "giant",
+		Confidence: 0.5, URL: "http://astro.example.org/stars/ghost.htm"})
+	sess := midas.NewSession(nil, opts)
+	sess.AddFacts(log...)
+	if _, err := sess.DiscoverContext(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	conflict := midas.Fact{Subject: "ghost", Predicate: "class", Object: "dwarf",
+		Confidence: 0.9, URL: "http://other.example.com/ghost.htm"}
+	sess.AddFacts(conflict)
+	log = append(log, conflict)
+	res, err := sess.DiscoverContext(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := midas.NewCorpus(sess.KB())
+	for _, f := range log {
+		ref.Add(f)
+	}
+	want := midas.Discover(ref, sess.KB(), opts)
+	if len(want.Slices) == 0 {
+		t.Fatal("from-scratch discovery found no slice")
+	}
+	if !reflect.DeepEqual(res.Slices, want.Slices) {
+		t.Fatalf("incremental differs from scratch\nincremental: %+v\nfrom scratch: %+v", res.Slices, want.Slices)
+	}
+}
+
 // TestIncrementalReuseRatio pins the acceptance bound: on the paper's
 // 100-domain Slim corpus, re-discovering after a delta confined to one
 // source must answer at least 90% of the sources from the prior run.

@@ -208,16 +208,16 @@ type reusePlan struct {
 	full bool
 }
 
-// planReuse evaluates the reuse ladder for one source. Children can
-// only be appended to (the corpus is append-only), so "every current
-// child reused its table" implies the child set is exactly the prior
-// run's.
+// planReuse evaluates the reuse ladder for one source. A transform over
+// the corpus (fusion dropping a page's only fact) can remove a child as
+// well as add one, so the child set must equal the prior run's before
+// "every child reused its table" says the table is unchanged.
 func planReuse(prior *Prior, src string, pe *pendingEntry, leafFP uint64, delta []kb.Triple) reusePlan {
 	if prior == nil {
 		return reusePlan{}
 	}
 	st := prior.sources.get(src)
-	if st == nil || st.leafFP != leafFP {
+	if st == nil || st.leafFP != leafFP || !slices.Equal(pe.names, st.children) {
 		return reusePlan{}
 	}
 	childrenSame := true
@@ -769,24 +769,27 @@ func processSource(ctx context.Context, src string, depth int, pe *pendingEntry,
 	}
 	tableSpan.Arg("entities", strconv.Itoa(len(table.Entities))).End()
 
-	// Map subjects to rows for seeding.
-	rowOf := make(map[dict.ID]int32, len(table.Entities))
-	for i := range table.Entities {
-		rowOf[table.Entities[i].Subject] = int32(i)
-	}
-
 	var children []scored
-	var seeds []hierarchy.Seed
 	for _, c := range pe.children {
-		for _, s := range c.state.surviving {
-			children = append(children, s)
+		children = append(children, c.state.surviving...)
+	}
+	// Map subjects to rows for seeding; most sources (leaf pages) have no
+	// child slice to seed, and skip the map.
+	var seeds []hierarchy.Seed
+	if len(children) > 0 {
+		rowOf := make(map[dict.ID]int32, len(table.Entities))
+		for i := range table.Entities {
+			rowOf[table.Entities[i].Subject] = int32(i)
+		}
+		seeds = make([]hierarchy.Seed, len(children))
+		for i, s := range children {
 			rows := make([]int32, 0, s.sl.Entities.Len())
 			for _, subj := range s.sl.Entities.Values() {
 				if r, ok := rowOf[subj]; ok {
 					rows = append(rows, r)
 				}
 			}
-			seeds = append(seeds, hierarchy.Seed{Props: s.sl.Props, Entities: rows})
+			seeds[i] = hierarchy.Seed{Props: s.sl.Props, Entities: rows}
 		}
 	}
 

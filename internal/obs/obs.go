@@ -1,7 +1,13 @@
 // Package obs is the pipeline's lightweight, dependency-free
 // observability layer: named atomic counters, gauges, phase timers, and
 // histograms collected in a Registry whose Snapshot serializes to
-// deterministic JSON.
+// deterministic JSON and whose WriteOpenMetrics serves /metrics.
+//
+// Every metric kind is held the same way: a family (one RWMutex over a
+// name → metric map, the package's only get-or-create) per kind in the
+// Registry, and a labelled kind is a Vec, one generic type whose series
+// sit in a family keyed by their joined label values. CounterVec,
+// TimerVec, GaugeVec and HistogramVec are its four instantiations.
 //
 // Design constraints, in order:
 //
@@ -168,6 +174,15 @@ type Histogram struct {
 	max     float64
 }
 
+// newHistogram returns an empty histogram over bounds, or over
+// DefaultBuckets when bounds is empty.
+func newHistogram(bounds []float64) *Histogram {
+	if len(bounds) == 0 {
+		bounds = DefaultBuckets
+	}
+	return &Histogram{bounds: bounds, buckets: make([]int64, len(bounds)+1)}
+}
+
 // Observe records one observation. No-op on a nil receiver.
 func (h *Histogram) Observe(v float64) { h.ObserveN(v, 1) }
 
@@ -261,35 +276,23 @@ func (f *JSONFloat) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// Registry is a named collection of metrics, safe for concurrent use.
-// The zero value is not usable; call New. All lookup methods get-or-
-// create and are cheap enough to call on warm paths (one RLock + map
-// probe); store the returned handle when a path is truly hot.
+// Registry is a named collection of metrics, safe for concurrent use;
+// the zero value is ready to use. All lookup methods get-or-create and
+// are cheap enough to call on warm paths (one RLock + map probe); store
+// the returned handle when a path is truly hot.
 type Registry struct {
-	mu            sync.RWMutex
-	counters      map[string]*Counter
-	gauges        map[string]*Gauge
-	timers        map[string]*Timer
-	histograms    map[string]*Histogram
-	counterVecs   map[string]*CounterVec
-	timerVecs     map[string]*TimerVec
-	gaugeVecs     map[string]*GaugeVec
-	histogramVecs map[string]*HistogramVec
+	counters      family[*Counter]
+	gauges        family[*Gauge]
+	timers        family[*Timer]
+	histograms    family[*Histogram]
+	counterVecs   family[*CounterVec]
+	timerVecs     family[*TimerVec]
+	gaugeVecs     family[*GaugeVec]
+	histogramVecs family[*HistogramVec]
 }
 
 // New returns an empty registry.
-func New() *Registry {
-	return &Registry{
-		counters:      make(map[string]*Counter),
-		gauges:        make(map[string]*Gauge),
-		timers:        make(map[string]*Timer),
-		histograms:    make(map[string]*Histogram),
-		counterVecs:   make(map[string]*CounterVec),
-		timerVecs:     make(map[string]*TimerVec),
-		gaugeVecs:     make(map[string]*GaugeVec),
-		histogramVecs: make(map[string]*HistogramVec),
-	}
-}
+func New() *Registry { return &Registry{} }
 
 var defaultRegistry = New()
 
@@ -307,25 +310,66 @@ func (r *Registry) OrDefault() *Registry {
 	return r
 }
 
+// family is one metric kind's get-or-create map, keyed by metric name
+// (or, inside a Vec, by joined label values). It is the package's only
+// get-or-create: a warm get is one RLock and one map probe, and a miss
+// double-checks under the write lock so concurrent callers share one
+// metric. The zero value is ready to use.
+type family[M any] struct {
+	mu sync.RWMutex
+	m  map[string]M
+}
+
+func (f *family[M]) get(key string, mk func() M) M {
+	f.mu.RLock()
+	v, ok := f.m[key]
+	f.mu.RUnlock()
+	if ok {
+		return v
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if v, ok = f.m[key]; !ok {
+		if f.m == nil {
+			f.m = make(map[string]M)
+		}
+		v = mk()
+		f.m[key] = v
+	}
+	return v
+}
+
+func (f *family[M]) reset() {
+	f.mu.Lock()
+	f.m = nil
+	f.mu.Unlock()
+}
+
+// snapshotOf applies fn to every metric of f, keyed by name; nil when f
+// is empty, so the Snapshot field's omitempty drops it.
+func snapshotOf[M, V any](f *family[M], fn func(M) V) map[string]V {
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	if len(f.m) == 0 {
+		return nil
+	}
+	out := make(map[string]V, len(f.m))
+	for name, m := range f.m {
+		out[name] = fn(m)
+	}
+	return out
+}
+
+func newCounter() *Counter { return &Counter{} }
+func newGauge() *Gauge     { return &Gauge{} }
+
 // Counter returns the named counter, creating it if needed. Returns nil
 // (whose methods no-op) on a nil registry.
 func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	c, ok := r.counters[name]
-	r.mu.RUnlock()
-	if ok {
-		return c
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c, ok = r.counters[name]; !ok {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
+	return r.counters.get(name, newCounter)
 }
 
 // Gauge returns the named gauge, creating it if needed.
@@ -333,19 +377,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	g, ok := r.gauges[name]
-	r.mu.RUnlock()
-	if ok {
-		return g
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g, ok = r.gauges[name]; !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
+	return r.gauges.get(name, newGauge)
 }
 
 // Timer returns the named phase timer, creating it if needed.
@@ -353,19 +385,17 @@ func (r *Registry) Timer(name string) *Timer {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	t, ok := r.timers[name]
-	r.mu.RUnlock()
-	if ok {
-		return t
+	return r.timers.get(name, newTimer)
+}
+
+// Histogram returns the named histogram, creating it with the given
+// bucket upper bounds (DefaultBuckets when none; bounds must be sorted
+// ascending). Bounds are fixed at first creation.
+func (r *Registry) Histogram(name string, bounds ...float64) *Histogram {
+	if r == nil {
+		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if t, ok = r.timers[name]; !ok {
-		t = newTimer()
-		r.timers[name] = t
-	}
-	return t
+	return r.histograms.get(name, func() *Histogram { return newHistogram(bounds) })
 }
 
 // CounterVec returns the named counter vector with the given label
@@ -376,23 +406,11 @@ func (r *Registry) CounterVec(name string, labels ...string) *CounterVec {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	v, ok := r.counterVecs[name]
-	r.mu.RUnlock()
-	if ok {
-		return v
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if v, ok = r.counterVecs[name]; !ok {
-		v = &CounterVec{
-			name:   name,
-			labels: append([]string(nil), labels...),
-			series: make(map[string]*Counter),
-		}
-		r.counterVecs[name] = v
-	}
-	return v
+	return r.counterVecs.get(name, func() *CounterVec {
+		return newVec(name, labels, newCounter, func(l map[string]string, c *Counter) LabeledCounter {
+			return LabeledCounter{Labels: l, Value: c.Value()}
+		})
+	})
 }
 
 // TimerVec returns the named timer vector with the given label names,
@@ -401,23 +419,11 @@ func (r *Registry) TimerVec(name string, labels ...string) *TimerVec {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	v, ok := r.timerVecs[name]
-	r.mu.RUnlock()
-	if ok {
-		return v
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if v, ok = r.timerVecs[name]; !ok {
-		v = &TimerVec{
-			name:   name,
-			labels: append([]string(nil), labels...),
-			series: make(map[string]*Timer),
-		}
-		r.timerVecs[name] = v
-	}
-	return v
+	return r.timerVecs.get(name, func() *TimerVec {
+		return newVec(name, labels, newTimer, func(l map[string]string, t *Timer) LabeledTimer {
+			return LabeledTimer{Labels: l, TimerSnapshot: t.snapshot()}
+		})
+	})
 }
 
 // GaugeVec returns the named gauge vector with the given label names,
@@ -426,23 +432,11 @@ func (r *Registry) GaugeVec(name string, labels ...string) *GaugeVec {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	v, ok := r.gaugeVecs[name]
-	r.mu.RUnlock()
-	if ok {
-		return v
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if v, ok = r.gaugeVecs[name]; !ok {
-		v = &GaugeVec{
-			name:   name,
-			labels: append([]string(nil), labels...),
-			series: make(map[string]*Gauge),
-		}
-		r.gaugeVecs[name] = v
-	}
-	return v
+	return r.gaugeVecs.get(name, func() *GaugeVec {
+		return newVec(name, labels, newGauge, func(l map[string]string, g *Gauge) LabeledGauge {
+			return LabeledGauge{Labels: l, Value: g.Value()}
+		})
+	})
 }
 
 // HistogramVec returns the named histogram vector with the given bucket
@@ -453,52 +447,13 @@ func (r *Registry) HistogramVec(name string, bounds []float64, labels ...string)
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	v, ok := r.histogramVecs[name]
-	r.mu.RUnlock()
-	if ok {
-		return v
-	}
-	if len(bounds) == 0 {
-		bounds = DefaultBuckets
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if v, ok = r.histogramVecs[name]; !ok {
-		v = &HistogramVec{
-			name:   name,
-			labels: append([]string(nil), labels...),
-			bounds: append([]float64(nil), bounds...),
-			series: make(map[string]*Histogram),
-		}
-		r.histogramVecs[name] = v
-	}
-	return v
-}
-
-// Histogram returns the named histogram, creating it with the given
-// bucket upper bounds (DefaultBuckets when none; bounds must be sorted
-// ascending). Bounds are fixed at first creation.
-func (r *Registry) Histogram(name string, bounds ...float64) *Histogram {
-	if r == nil {
-		return nil
-	}
-	r.mu.RLock()
-	h, ok := r.histograms[name]
-	r.mu.RUnlock()
-	if ok {
-		return h
-	}
-	if len(bounds) == 0 {
-		bounds = DefaultBuckets
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if h, ok = r.histograms[name]; !ok {
-		h = &Histogram{bounds: bounds, buckets: make([]int64, len(bounds)+1)}
-		r.histograms[name] = h
-	}
-	return h
+	return r.histogramVecs.get(name, func() *HistogramVec {
+		bounds := append([]float64(nil), bounds...)
+		return newVec(name, labels, func() *Histogram { return newHistogram(bounds) },
+			func(l map[string]string, h *Histogram) LabeledHistogram {
+				return LabeledHistogram{Labels: l, HistogramSnapshot: h.snapshot()}
+			})
+	})
 }
 
 // Reset clears every metric while keeping the registry usable. Handles
@@ -507,16 +462,14 @@ func (r *Registry) Reset() {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
-	r.counters = make(map[string]*Counter)
-	r.gauges = make(map[string]*Gauge)
-	r.timers = make(map[string]*Timer)
-	r.histograms = make(map[string]*Histogram)
-	r.counterVecs = make(map[string]*CounterVec)
-	r.timerVecs = make(map[string]*TimerVec)
-	r.gaugeVecs = make(map[string]*GaugeVec)
-	r.histogramVecs = make(map[string]*HistogramVec)
-	r.mu.Unlock()
+	r.counters.reset()
+	r.gauges.reset()
+	r.timers.reset()
+	r.histograms.reset()
+	r.counterVecs.reset()
+	r.timerVecs.reset()
+	r.gaugeVecs.reset()
+	r.histogramVecs.reset()
 }
 
 // Snapshot is a point-in-time copy of a registry's metrics. Maps
@@ -541,58 +494,16 @@ func (r *Registry) Snapshot() Snapshot {
 	if r == nil {
 		return Snapshot{}
 	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	s := Snapshot{}
-	if len(r.counters) > 0 {
-		s.Counters = make(map[string]int64, len(r.counters))
-		for name, c := range r.counters {
-			s.Counters[name] = c.Value()
-		}
+	return Snapshot{
+		Counters:      snapshotOf(&r.counters, (*Counter).Value),
+		Gauges:        snapshotOf(&r.gauges, (*Gauge).Value),
+		Timers:        snapshotOf(&r.timers, (*Timer).snapshot),
+		Histograms:    snapshotOf(&r.histograms, (*Histogram).snapshot),
+		CounterVecs:   snapshotOf(&r.counterVecs, (*CounterVec).snapshot),
+		TimerVecs:     snapshotOf(&r.timerVecs, (*TimerVec).snapshot),
+		GaugeVecs:     snapshotOf(&r.gaugeVecs, (*GaugeVec).snapshot),
+		HistogramVecs: snapshotOf(&r.histogramVecs, (*HistogramVec).snapshot),
 	}
-	if len(r.gauges) > 0 {
-		s.Gauges = make(map[string]float64, len(r.gauges))
-		for name, g := range r.gauges {
-			s.Gauges[name] = g.Value()
-		}
-	}
-	if len(r.timers) > 0 {
-		s.Timers = make(map[string]TimerSnapshot, len(r.timers))
-		for name, t := range r.timers {
-			s.Timers[name] = t.snapshot()
-		}
-	}
-	if len(r.histograms) > 0 {
-		s.Histograms = make(map[string]HistogramSnapshot, len(r.histograms))
-		for name, h := range r.histograms {
-			s.Histograms[name] = h.snapshot()
-		}
-	}
-	if len(r.counterVecs) > 0 {
-		s.CounterVecs = make(map[string]CounterVecSnapshot, len(r.counterVecs))
-		for name, v := range r.counterVecs {
-			s.CounterVecs[name] = v.snapshot()
-		}
-	}
-	if len(r.timerVecs) > 0 {
-		s.TimerVecs = make(map[string]TimerVecSnapshot, len(r.timerVecs))
-		for name, v := range r.timerVecs {
-			s.TimerVecs[name] = v.snapshot()
-		}
-	}
-	if len(r.gaugeVecs) > 0 {
-		s.GaugeVecs = make(map[string]GaugeVecSnapshot, len(r.gaugeVecs))
-		for name, v := range r.gaugeVecs {
-			s.GaugeVecs[name] = v.snapshot()
-		}
-	}
-	if len(r.histogramVecs) > 0 {
-		s.HistogramVecs = make(map[string]HistogramVecSnapshot, len(r.histogramVecs))
-		for name, v := range r.histogramVecs {
-			s.HistogramVecs[name] = v.snapshot()
-		}
-	}
-	return s
 }
 
 // WriteJSON writes an indented JSON snapshot of the registry.

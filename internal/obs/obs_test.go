@@ -178,3 +178,25 @@ func TestReset(t *testing.T) {
 		t.Errorf("snapshot after reset = %+v, want zero", s)
 	}
 }
+
+// TestWarmLookupsDoNotAllocate pins the cost the framework and the
+// serving path pay per round and per request: a lookup of an existing
+// metric, or of an existing one-label series, makes no allocation.
+// (A multi-label With allocates its joined key, and Histogram's
+// variadic bounds allocate at the call site.)
+func TestWarmLookupsDoNotAllocate(t *testing.T) {
+	r := New()
+	lookups := map[string]func(){
+		"Counter":           func() { r.Counter("c").Inc() },
+		"Timer":             func() { r.Timer("t").Observe(time.Millisecond) },
+		"CounterVec.With":   func() { r.CounterVec("cv", "depth").With("01").Inc() },
+		"TimerVec.With":     func() { r.TimerVec("tv", "depth").With("01").Observe(time.Millisecond) },
+		"HistogramVec.With": func() { r.HistogramVec("hv", DefaultLatencyBuckets, "endpoint").With("GET /x").Observe(0.01) },
+	}
+	for name, f := range lookups {
+		f() // create
+		if n := testing.AllocsPerRun(100, f); n != 0 {
+			t.Errorf("warm %s: %v allocs per lookup, want 0", name, n)
+		}
+	}
+}

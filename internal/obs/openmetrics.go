@@ -46,85 +46,77 @@ func (s Snapshot) WriteOpenMetrics(w io.Writer) error {
 
 func writeOpenMetrics(w io.Writer, s Snapshot) error {
 	bw := bufio.NewWriter(w)
+	writeKind(bw, s.Counters, s.CounterVecs, writeCounters,
+		func(v int64) LabeledCounter { return LabeledCounter{Value: v} })
+	writeKind(bw, s.Gauges, s.GaugeVecs, writeGauges,
+		func(v float64) LabeledGauge { return LabeledGauge{Value: v} })
+	writeKind(bw, s.Timers, s.TimerVecs, writeTimers,
+		func(t TimerSnapshot) LabeledTimer { return LabeledTimer{TimerSnapshot: t} })
+	writeKind(bw, s.Histograms, s.HistogramVecs, writeHistograms,
+		func(h HistogramSnapshot) LabeledHistogram { return LabeledHistogram{HistogramSnapshot: h} })
+	fmt.Fprint(bw, "# EOF\n")
+	return bw.Flush()
+}
 
-	for _, name := range sortedKeys(s.Counters) {
-		fam := sanitizeName(name)
-		fmt.Fprintf(bw, "# TYPE %s counter\n", fam)
-		fmt.Fprintf(bw, "%s_total %d\n", fam, s.Counters[name])
+// writeKind writes every family of one metric kind in sorted name
+// order: first the scalars, each as a family of one unlabelled series
+// (renderLabels(nil, …) is ""), then the vectors. write emits one
+// family's TYPE lines and samples.
+func writeKind[V, S any](w io.Writer, scalars map[string]V, vecs map[string]VecSnapshot[S],
+	write func(w io.Writer, fam string, v VecSnapshot[S]), series func(V) S) {
+	for _, name := range sortedKeys(scalars) {
+		write(w, sanitizeName(name), VecSnapshot[S]{Series: []S{series(scalars[name])}})
 	}
-	for _, name := range sortedKeys(s.CounterVecs) {
-		vs := s.CounterVecs[name]
-		fam := sanitizeName(name)
-		fmt.Fprintf(bw, "# TYPE %s counter\n", fam)
-		for _, series := range vs.Series {
-			fmt.Fprintf(bw, "%s_total%s %d\n", fam, renderLabels(vs.LabelNames, series.Labels), series.Value)
+	for _, name := range sortedKeys(vecs) {
+		write(w, sanitizeName(name), vecs[name])
+	}
+}
+
+func writeCounters(w io.Writer, fam string, v CounterVecSnapshot) {
+	fmt.Fprintf(w, "# TYPE %s counter\n", fam)
+	for _, c := range v.Series {
+		fmt.Fprintf(w, "%s_total%s %d\n", fam, renderLabels(v.LabelNames, c.Labels), c.Value)
+	}
+}
+
+func writeGauges(w io.Writer, fam string, v GaugeVecSnapshot) {
+	fmt.Fprintf(w, "# TYPE %s gauge\n", fam)
+	for _, g := range v.Series {
+		fmt.Fprintf(w, "%s%s %s\n", fam, renderLabels(v.LabelNames, g.Labels), formatFloat(g.Value))
+	}
+}
+
+func writeTimers(w io.Writer, fam string, v TimerVecSnapshot) {
+	fam += "_seconds"
+	fmt.Fprintf(w, "# TYPE %s summary\n", fam)
+	fmt.Fprintf(w, "# TYPE %s_min gauge\n# TYPE %s_max gauge\n", fam, fam)
+	for _, t := range v.Series {
+		labels := renderLabels(v.LabelNames, t.Labels)
+		fmt.Fprintf(w, "%s_count%s %d\n", fam, labels, t.Count)
+		fmt.Fprintf(w, "%s_sum%s %s\n", fam, labels, formatFloat(t.TotalSeconds))
+		if t.Count > 0 {
+			fmt.Fprintf(w, "%s_min%s %s\n", fam, labels, formatFloat(t.MinSeconds))
+			fmt.Fprintf(w, "%s_max%s %s\n", fam, labels, formatFloat(t.MaxSeconds))
 		}
 	}
-	for _, name := range sortedKeys(s.Gauges) {
-		fam := sanitizeName(name)
-		fmt.Fprintf(bw, "# TYPE %s gauge\n", fam)
-		fmt.Fprintf(bw, "%s %s\n", fam, formatFloat(s.Gauges[name]))
-	}
-	for _, name := range sortedKeys(s.GaugeVecs) {
-		vs := s.GaugeVecs[name]
-		fam := sanitizeName(name)
-		fmt.Fprintf(bw, "# TYPE %s gauge\n", fam)
-		for _, series := range vs.Series {
-			fmt.Fprintf(bw, "%s%s %s\n", fam, renderLabels(vs.LabelNames, series.Labels), formatFloat(series.Value))
-		}
-	}
-	for _, name := range sortedKeys(s.Timers) {
-		writeTimer(bw, sanitizeName(name)+"_seconds", "", s.Timers[name])
-	}
-	for _, name := range sortedKeys(s.TimerVecs) {
-		vs := s.TimerVecs[name]
-		fam := sanitizeName(name) + "_seconds"
-		// All series of one family share the TYPE declarations.
-		fmt.Fprintf(bw, "# TYPE %s summary\n", fam)
-		fmt.Fprintf(bw, "# TYPE %s_min gauge\n# TYPE %s_max gauge\n", fam, fam)
-		for _, series := range vs.Series {
-			writeTimerSamples(bw, fam, renderLabels(vs.LabelNames, series.Labels), series.TimerSnapshot)
-		}
-	}
-	for _, name := range sortedKeys(s.Histograms) {
-		hs := s.Histograms[name]
-		fam := sanitizeName(name)
-		fmt.Fprintf(bw, "# TYPE %s histogram\n", fam)
+}
+
+func writeHistograms(w io.Writer, fam string, v HistogramVecSnapshot) {
+	fmt.Fprintf(w, "# TYPE %s histogram\n", fam)
+	for _, h := range v.Series {
+		labels := renderLabels(v.LabelNames, h.Labels)
 		cum := int64(0)
-		for _, b := range hs.Buckets {
+		for _, b := range h.Buckets {
 			cum += b.Count
 			if math.IsInf(float64(b.UpperBound), 1) {
 				continue // merged into the mandatory +Inf bucket below
 			}
-			fmt.Fprintf(bw, "%s_bucket{le=%q} %d\n", fam, formatFloat(float64(b.UpperBound)), cum)
+			fmt.Fprintf(w, "%s_bucket%s %d\n", fam, mergeLE(labels, formatFloat(float64(b.UpperBound))), cum)
 		}
-		fmt.Fprintf(bw, "%s_bucket{le=\"+Inf\"} %d\n", fam, hs.Count)
-		fmt.Fprintf(bw, "%s_count %d\n", fam, hs.Count)
-		fmt.Fprintf(bw, "%s_sum %s\n", fam, formatFloat(hs.Sum))
+		fmt.Fprintf(w, "%s_bucket%s %d\n", fam, mergeLE(labels, "+Inf"), h.Count)
+		fmt.Fprintf(w, "%s_count%s %d\n", fam, labels, h.Count)
+		fmt.Fprintf(w, "%s_sum%s %s\n", fam, labels, formatFloat(h.Sum))
 	}
-	for _, name := range sortedKeys(s.HistogramVecs) {
-		vs := s.HistogramVecs[name]
-		fam := sanitizeName(name)
-		fmt.Fprintf(bw, "# TYPE %s histogram\n", fam)
-		for _, series := range vs.Series {
-			labels := renderLabels(vs.LabelNames, series.Labels)
-			cum := int64(0)
-			for _, b := range series.Buckets {
-				cum += b.Count
-				if math.IsInf(float64(b.UpperBound), 1) {
-					continue
-				}
-				fmt.Fprintf(bw, "%s_bucket%s %d\n", fam,
-					mergeLE(labels, formatFloat(float64(b.UpperBound))), cum)
-			}
-			fmt.Fprintf(bw, "%s_bucket%s %d\n", fam, mergeLE(labels, "+Inf"), series.Count)
-			fmt.Fprintf(bw, "%s_count%s %d\n", fam, labels, series.Count)
-			fmt.Fprintf(bw, "%s_sum%s %s\n", fam, labels, formatFloat(series.Sum))
-		}
-	}
-
-	fmt.Fprint(bw, "# EOF\n")
-	return bw.Flush()
 }
 
 // mergeLE appends the histogram bucket boundary label to an already
@@ -134,21 +126,6 @@ func mergeLE(labels, le string) string {
 		return `{le="` + le + `"}`
 	}
 	return labels[:len(labels)-1] + `,le="` + le + `"}`
-}
-
-func writeTimer(w io.Writer, fam, labels string, ts TimerSnapshot) {
-	fmt.Fprintf(w, "# TYPE %s summary\n", fam)
-	fmt.Fprintf(w, "# TYPE %s_min gauge\n# TYPE %s_max gauge\n", fam, fam)
-	writeTimerSamples(w, fam, labels, ts)
-}
-
-func writeTimerSamples(w io.Writer, fam, labels string, ts TimerSnapshot) {
-	fmt.Fprintf(w, "%s_count%s %d\n", fam, labels, ts.Count)
-	fmt.Fprintf(w, "%s_sum%s %s\n", fam, labels, formatFloat(ts.TotalSeconds))
-	if ts.Count > 0 {
-		fmt.Fprintf(w, "%s_min%s %s\n", fam, labels, formatFloat(ts.MinSeconds))
-		fmt.Fprintf(w, "%s_max%s %s\n", fam, labels, formatFloat(ts.MaxSeconds))
-	}
 }
 
 // renderLabels renders a label set as {k1="v1",k2="v2"}, keeping the

@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 	"strings"
-	"sync"
 )
 
 // labelSep joins label values into a series key. 0xFF cannot appear in
@@ -29,151 +28,75 @@ func IndexLabel(i int) string {
 	return fmt.Sprintf("%02d", i)
 }
 
-// CounterVec is a family of counters partitioned by a small, fixed set
-// of labels (round, depth, lattice level, decision). Each distinct
-// label-value combination owns one Counter; With is get-or-create and
-// cheap enough for warm paths (one RLock + map probe), matching the
-// Registry's lookup cost.
-type CounterVec struct {
+// Vec is a family of metrics of one kind partitioned by a small, fixed
+// set of labels (round, depth, lattice level, decision, endpoint). Each
+// distinct label-value combination owns one M, made by mk on first use;
+// With is get-or-create at the Registry's lookup cost (one RLock + map
+// probe). series renders one labelled metric as its snapshot S.
+type Vec[M, S any] struct {
 	name   string
 	labels []string
-	mu     sync.RWMutex
-	series map[string]*Counter
+	mk     func() M
+	series func(labels map[string]string, m M) S
+	fam    family[M]
 }
 
-// With returns the counter for the given label values, creating it if
+// The four vector kinds a Registry hands out.
+type (
+	// CounterVec partitions counters, e.g. nodes pruned per lattice level.
+	CounterVec = Vec[*Counter, LabeledCounter]
+	// TimerVec partitions phase timers, e.g. the framework's per-depth
+	// round timers.
+	TimerVec = Vec[*Timer, LabeledTimer]
+	// GaugeVec partitions gauges, e.g. per-session fact counts.
+	GaugeVec = Vec[*Gauge, LabeledGauge]
+	// HistogramVec partitions histograms that share one set of bucket
+	// bounds, e.g. the per-endpoint request latencies of the serving path.
+	HistogramVec = Vec[*Histogram, LabeledHistogram]
+)
+
+func newVec[M, S any](name string, labels []string, mk func() M, series func(map[string]string, M) S) *Vec[M, S] {
+	return &Vec[M, S]{name: name, labels: append([]string(nil), labels...), mk: mk, series: series}
+}
+
+// With returns the metric for the given label values, creating it if
 // needed. The number of values must match the vector's label names;
 // mismatches panic (programmer error, like a malformed metric name).
 // Returns nil (whose methods no-op) on a nil vector.
-func (v *CounterVec) With(values ...string) *Counter {
+func (v *Vec[M, S]) With(values ...string) M {
 	if v == nil {
-		return nil
-	}
-	key := v.key(values)
-	v.mu.RLock()
-	c, ok := v.series[key]
-	v.mu.RUnlock()
-	if ok {
-		return c
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if c, ok = v.series[key]; !ok {
-		c = &Counter{}
-		v.series[key] = c
-	}
-	return c
-}
-
-func (v *CounterVec) key(values []string) string {
-	if len(values) != len(v.labels) {
-		panic("obs: CounterVec " + v.name + ": label value count mismatch")
-	}
-	return strings.Join(values, labelSep)
-}
-
-// TimerVec is a family of phase timers partitioned by labels, e.g. the
-// per-hierarchy-depth round timers of the framework.
-type TimerVec struct {
-	name   string
-	labels []string
-	mu     sync.RWMutex
-	series map[string]*Timer
-}
-
-// With returns the timer for the given label values, creating it if
-// needed. Same contract as CounterVec.With.
-func (v *TimerVec) With(values ...string) *Timer {
-	if v == nil {
-		return nil
+		var zero M
+		return zero
 	}
 	if len(values) != len(v.labels) {
-		panic("obs: TimerVec " + v.name + ": label value count mismatch")
+		panic("obs: vector " + v.name + ": label value count mismatch")
 	}
-	key := strings.Join(values, labelSep)
-	v.mu.RLock()
-	t, ok := v.series[key]
-	v.mu.RUnlock()
-	if ok {
-		return t
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if t, ok = v.series[key]; !ok {
-		t = newTimer()
-		v.series[key] = t
-	}
-	return t
+	return v.fam.get(strings.Join(values, labelSep), v.mk)
 }
 
-// GaugeVec is a family of gauges partitioned by labels, e.g. the
-// per-endpoint in-flight request counts of the serving path.
-type GaugeVec struct {
-	name   string
-	labels []string
-	mu     sync.RWMutex
-	series map[string]*Gauge
+// VecSnapshot is the serialized state of a Vec: its label names and
+// every series, sorted by label values for determinism.
+type VecSnapshot[S any] struct {
+	LabelNames []string `json:"label_names"`
+	Series     []S      `json:"series"`
 }
 
-// With returns the gauge for the given label values, creating it if
-// needed. Same contract as CounterVec.With.
-func (v *GaugeVec) With(values ...string) *Gauge {
-	if v == nil {
-		return nil
-	}
-	if len(values) != len(v.labels) {
-		panic("obs: GaugeVec " + v.name + ": label value count mismatch")
-	}
-	key := strings.Join(values, labelSep)
-	v.mu.RLock()
-	g, ok := v.series[key]
-	v.mu.RUnlock()
-	if ok {
-		return g
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if g, ok = v.series[key]; !ok {
-		g = &Gauge{}
-		v.series[key] = g
-	}
-	return g
-}
+// The snapshot types of the four vector kinds.
+type (
+	CounterVecSnapshot   = VecSnapshot[LabeledCounter]
+	TimerVecSnapshot     = VecSnapshot[LabeledTimer]
+	GaugeVecSnapshot     = VecSnapshot[LabeledGauge]
+	HistogramVecSnapshot = VecSnapshot[LabeledHistogram]
+)
 
-// HistogramVec is a family of histograms partitioned by labels, all
-// sharing one set of bucket bounds — e.g. the per-endpoint request
-// latency distributions of the serving path.
-type HistogramVec struct {
-	name   string
-	labels []string
-	bounds []float64
-	mu     sync.RWMutex
-	series map[string]*Histogram
-}
-
-// With returns the histogram for the given label values, creating it if
-// needed. Same contract as CounterVec.With.
-func (v *HistogramVec) With(values ...string) *Histogram {
-	if v == nil {
-		return nil
+func (v *Vec[M, S]) snapshot() VecSnapshot[S] {
+	v.fam.mu.RLock()
+	defer v.fam.mu.RUnlock()
+	s := VecSnapshot[S]{LabelNames: append([]string(nil), v.labels...)}
+	for _, key := range sortedKeys(v.fam.m) {
+		s.Series = append(s.Series, v.series(labelMap(v.labels, key), v.fam.m[key]))
 	}
-	if len(values) != len(v.labels) {
-		panic("obs: HistogramVec " + v.name + ": label value count mismatch")
-	}
-	key := strings.Join(values, labelSep)
-	v.mu.RLock()
-	h, ok := v.series[key]
-	v.mu.RUnlock()
-	if ok {
-		return h
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if h, ok = v.series[key]; !ok {
-		h = &Histogram{bounds: v.bounds, buckets: make([]int64, len(v.bounds)+1)}
-		v.series[key] = h
-	}
-	return h
+	return s
 }
 
 // LabeledCounter is one serialized series of a CounterVec.
@@ -182,23 +105,10 @@ type LabeledCounter struct {
 	Value  int64             `json:"value"`
 }
 
-// CounterVecSnapshot is the serialized state of a CounterVec: its label
-// names and every series, sorted by label values for determinism.
-type CounterVecSnapshot struct {
-	LabelNames []string         `json:"label_names"`
-	Series     []LabeledCounter `json:"series"`
-}
-
 // LabeledTimer is one serialized series of a TimerVec.
 type LabeledTimer struct {
 	Labels map[string]string `json:"labels"`
 	TimerSnapshot
-}
-
-// TimerVecSnapshot is the serialized state of a TimerVec.
-type TimerVecSnapshot struct {
-	LabelNames []string       `json:"label_names"`
-	Series     []LabeledTimer `json:"series"`
 }
 
 // LabeledGauge is one serialized series of a GaugeVec.
@@ -207,22 +117,10 @@ type LabeledGauge struct {
 	Value  float64           `json:"value"`
 }
 
-// GaugeVecSnapshot is the serialized state of a GaugeVec.
-type GaugeVecSnapshot struct {
-	LabelNames []string       `json:"label_names"`
-	Series     []LabeledGauge `json:"series"`
-}
-
 // LabeledHistogram is one serialized series of a HistogramVec.
 type LabeledHistogram struct {
 	Labels map[string]string `json:"labels"`
 	HistogramSnapshot
-}
-
-// HistogramVecSnapshot is the serialized state of a HistogramVec.
-type HistogramVecSnapshot struct {
-	LabelNames []string           `json:"label_names"`
-	Series     []LabeledHistogram `json:"series"`
 }
 
 func labelMap(names []string, key string) map[string]string {
@@ -232,56 +130,4 @@ func labelMap(names []string, key string) map[string]string {
 		m[n] = values[i]
 	}
 	return m
-}
-
-func (v *CounterVec) snapshot() CounterVecSnapshot {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	s := CounterVecSnapshot{LabelNames: append([]string(nil), v.labels...)}
-	for _, key := range sortedKeys(v.series) {
-		s.Series = append(s.Series, LabeledCounter{
-			Labels: labelMap(v.labels, key),
-			Value:  v.series[key].Value(),
-		})
-	}
-	return s
-}
-
-func (v *TimerVec) snapshot() TimerVecSnapshot {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	s := TimerVecSnapshot{LabelNames: append([]string(nil), v.labels...)}
-	for _, key := range sortedKeys(v.series) {
-		s.Series = append(s.Series, LabeledTimer{
-			Labels:        labelMap(v.labels, key),
-			TimerSnapshot: v.series[key].snapshot(),
-		})
-	}
-	return s
-}
-
-func (v *GaugeVec) snapshot() GaugeVecSnapshot {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	s := GaugeVecSnapshot{LabelNames: append([]string(nil), v.labels...)}
-	for _, key := range sortedKeys(v.series) {
-		s.Series = append(s.Series, LabeledGauge{
-			Labels: labelMap(v.labels, key),
-			Value:  v.series[key].Value(),
-		})
-	}
-	return s
-}
-
-func (v *HistogramVec) snapshot() HistogramVecSnapshot {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	s := HistogramVecSnapshot{LabelNames: append([]string(nil), v.labels...)}
-	for _, key := range sortedKeys(v.series) {
-		s.Series = append(s.Series, LabeledHistogram{
-			Labels:            labelMap(v.labels, key),
-			HistogramSnapshot: v.series[key].snapshot(),
-		})
-	}
-	return s
 }

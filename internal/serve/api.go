@@ -81,11 +81,10 @@ func requestID(ctx context.Context) string {
 // withMetrics wraps every API handler with the request-scoped
 // observability: the request deadline, the body bound, a request ID, a
 // root span (the trace every discovery span of this request hangs off),
-// the per-endpoint counter/timer/latency-histogram, and one structured
-// access-log record on completion.
+// the per-endpoint request counter and latency histogram, and one
+// structured access-log record on completion.
 func (s *Server) withMetrics(pattern string, h http.HandlerFunc) http.HandlerFunc {
 	requests := s.reg.CounterVec("serve/requests", "endpoint", "code")
-	timer := s.reg.TimerVec("serve/request", "endpoint")
 	latency := s.reg.HistogramVec("serve/request_seconds", obs.DefaultLatencyBuckets, "endpoint")
 	// Probes and scrapes are polled continuously; give them spans and
 	// access logs only at debug verbosity so the interesting traffic
@@ -115,7 +114,6 @@ func (s *Server) withMetrics(pattern string, h http.HandlerFunc) http.HandlerFun
 		elapsed := time.Since(start)
 
 		span.Arg("code", strconv.Itoa(sw.code)).End()
-		timer.With(pattern).Observe(elapsed)
 		latency.With(pattern).Observe(elapsed.Seconds())
 		requests.With(pattern, strconv.Itoa(sw.code)).Inc()
 		level := slog.LevelInfo

@@ -414,3 +414,36 @@ func TestRequestLatencyHistogram(t *testing.T) {
 		t.Errorf("/metrics missing latency count sample:\n%.2000s", body)
 	}
 }
+
+// TestMetricsFamiliesDeclaredOnce: after an API request, every metric
+// family in the /metrics exposition has exactly one # TYPE line. A
+// family declared twice (two registry metrics that sanitize to the same
+// name) makes an OpenMetrics parser reject the whole scrape.
+func TestMetricsFamiliesDeclaredOnce(t *testing.T) {
+	_, ts := newTestServer(t, Options{Registry: obs.New()})
+	do(t, "POST", ts.URL+"/api/sessions", strings.NewReader(`{"name":"m"}`), "application/json", nil)
+
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	for _, line := range strings.Split(string(body), "\n") {
+		f := strings.Fields(line)
+		if len(f) < 3 || f[0] != "#" || f[1] != "TYPE" {
+			continue
+		}
+		if seen[f[2]] {
+			t.Errorf("family %s declared more than once", f[2])
+		}
+		seen[f[2]] = true
+	}
+	if !seen["midas_serve_request_seconds"] {
+		t.Errorf("/metrics has no midas_serve_request_seconds family:\n%.2000s", body)
+	}
+}
